@@ -44,7 +44,7 @@ constexpr std::size_t kMaxHops = 2048;
 struct Workbench {
   std::unique_ptr<BuiltFabric> built;
   PacketStream stream;
-  std::vector<hp::polka::PacketResult> expected;
+  hp::scenario::LaneRoutes lanes;  ///< the stream's per-lane routes
   std::size_t multi_segment_pairs = 0;
 };
 
@@ -73,10 +73,7 @@ Workbench& cached_workbench(const std::string& which) {
   if (wb.stream.unpackable_pairs != 0 || wb.stream.unreachable_pairs != 0) {
     throw std::runtime_error(which + ": stream skipped pairs");
   }
-  wb.expected.resize(wb.stream.pairs.size());
-  for (std::size_t i = 0; i < wb.stream.pairs.size(); ++i) {
-    wb.expected[i] = wb.stream.pairs[i].expected;
-  }
+  wb.lanes = hp::scenario::LaneRoutes(wb.stream);
   for (const hp::polka::SegmentRef& ref : wb.stream.seg_refs) {
     wb.multi_segment_pairs += ref.label_count > 1;
   }
@@ -94,14 +91,13 @@ void run_replay(benchmark::State& state, const std::string& which,
     return;
   }
   const auto& fast = wb.built->compiled();
-  const hp::scenario::SegmentTable table{
-      wb.stream.seg_labels, wb.stream.seg_waypoints, wb.stream.seg_refs};
+  const hp::scenario::LaneTable table = wb.lanes.table();
   std::size_t packets = 0;
   std::size_t mods = 0;
   for (auto _ : state) {
     const hp::scenario::ScenarioReport report = hp::scenario::replay_shards(
-        fast, wb.stream.labels, wb.stream.ingress, wb.stream.pair,
-        wb.expected, {}, table, /*threads=*/1, /*batch_size=*/1024, kMaxHops);
+        fast, wb.stream.pair, table, /*threads=*/1, /*batch_size=*/1024,
+        kMaxHops);
     if (report.wrong_egress != 0 || report.ttl_expired != 0) {
       state.SkipWithError((which + ": replay diverged").c_str());
       return;

@@ -256,15 +256,19 @@ BatchForwardReport PolkaService::replay_workload(
   };
 
   if (threads > 1) {
-    // Materialize the label stream and shard it across workers via the
-    // scenario engine's replay primitive.
-    std::vector<hp::polka::RouteLabel> labels;
-    std::vector<std::uint32_t> firsts;
-    std::vector<std::uint32_t> lane_index;
+    // Materialize the per-packet lane stream and shard it across
+    // workers via the scenario engine's replay primitive; each packet
+    // reads its label and ingress from its tunnel's lane.  Slow-path
+    // tunnels keep a placeholder label no packet ever reads.
+    std::vector<hp::polka::RouteLabel> lane_labels(lanes.size());
+    std::vector<std::uint32_t> lane_firsts(lanes.size());
     std::vector<hp::polka::PacketResult> expected(lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i) {
+      lane_labels[i] = lanes[i].label.value_or(hp::polka::RouteLabel{});
+      lane_firsts[i] = lanes[i].first;
       expected[i] = lanes[i].expected;
     }
+    std::vector<std::uint32_t> lane_index;
     std::size_t next_lane = 0;
     for (const auto& flow : flows) {
       const std::size_t lane_id = next_lane;
@@ -276,13 +280,13 @@ BatchForwardReport PolkaService::replay_workload(
         walk_slow_lane(lane, packets);
         continue;
       }
-      labels.insert(labels.end(), packets, *lane.label);
-      firsts.insert(firsts.end(), packets, lane.first);
       lane_index.insert(lane_index.end(), packets,
                         static_cast<std::uint32_t>(lane_id));
     }
-    const auto sharded = hp::scenario::replay_shards(
-        fast, labels, firsts, lane_index, expected, {}, threads, batch_size);
+    const hp::scenario::LaneTable table{lane_labels, lane_firsts, expected,
+                                        {}, {}};
+    const auto sharded = hp::scenario::replay_shards(fast, lane_index, table,
+                                                     threads, batch_size);
     report.packets += sharded.packets;
     report.mod_operations += sharded.mod_operations;
     report.mismatches += sharded.wrong_egress;

@@ -60,6 +60,9 @@ struct SegmentRef {
   std::uint32_t first_label = 0;
   std::uint32_t first_waypoint = 0;
   std::uint32_t label_count = 1;
+
+  friend bool operator==(const SegmentRef&,
+                         const SegmentRef&) noexcept = default;
 };
 
 // Three pool offsets, no padding: refs ride in per-lane flat arrays

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/contracts.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scenario/shard.hpp"
@@ -45,22 +46,20 @@ struct ReplayMetrics {
   }
 };
 
-/// One worker's walk over its slice: fill private batch buffers
-/// (skipping dead pairs), stream them through the compiled fabric and
-/// check each result against its pair's expectation.  Multi-segment
-/// lanes fill their own batch and stream through the pooled
-/// forward_batch_segmented -- the same interleaved fold walk as the
-/// single-label batch, just carrying each lane's pooled labels.
+/// One worker's walk over its slice: gather each packet's route from
+/// its lane into private batch buffers (skipping dead lanes), stream
+/// them through the compiled fabric and check each result against its
+/// lane's expectation.  Multi-segment lanes fill their own batch and
+/// stream through the pooled forward_batch_segmented -- the same
+/// interleaved fold walk as the single-label batch, just carrying each
+/// lane's pooled labels.
 void replay_slice(const polka::CompiledFabric& fabric,
-                  std::span<const polka::RouteLabel> labels,
-                  std::span<const std::uint32_t> ingress,
-                  std::span<const std::uint32_t> index,
-                  std::span<const polka::PacketResult> expected,
-                  std::span<const std::uint8_t> alive,
-                  const SegmentTable& segments, std::size_t batch_size,
+                  std::span<const std::uint32_t> packet_lanes,
+                  const LaneTable& lanes, std::size_t batch_size,
                   std::size_t max_hops, ScenarioReport& out,
                   const ReplayMetrics* rm) {
   const auto slice_start = std::chrono::steady_clock::now();
+  const SegmentTable& segments = lanes.segments;
   std::vector<polka::RouteLabel> batch_labels(batch_size);
   std::vector<std::uint32_t> batch_firsts(batch_size);
   std::vector<std::uint32_t> batch_index(batch_size);
@@ -74,7 +73,7 @@ void replay_slice(const polka::CompiledFabric& fabric,
   std::size_t fill = 0;
   std::size_t seg_fill = 0;
   // HP_HOT_BEGIN(replay_slice)
-  // Per-packet lane fill + batch flushes.  The buffers above are the
+  // Per-packet lane gather + batch flushes.  The buffers above are the
   // slice's only allocations; from here on the loop must stay
   // growth-free so replay cost is O(packets) folds, not allocator
   // traffic (lint rule hot-path-purity; pinned by alloc_guard_test's
@@ -82,7 +81,7 @@ void replay_slice(const polka::CompiledFabric& fabric,
   auto score = [&](const polka::PacketResult& result, std::uint32_t lane) {
     if (result.ttl_expired) {
       ++out.ttl_expired;
-    } else if (result != expected[lane]) {
+    } else if (result != lanes.expected[lane]) {
       ++out.wrong_egress;
     }
   };
@@ -123,24 +122,24 @@ void replay_slice(const polka::CompiledFabric& fabric,
     }
     seg_fill = 0;
   };
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const std::uint32_t lane = index[i];
-    if (!alive.empty() && !alive[lane]) {
+  for (const std::uint32_t lane : packet_lanes) {
+    HP_DCHECK(lane < lanes.size(), "replay_slice: packet lane out of range");
+    if (!lanes.alive.empty() && !lanes.alive[lane]) {
       ++out.dropped_packets;
       continue;
     }
     if (!segments.refs.empty() && segments.refs[lane].label_count > 1) {
       const polka::SegmentRef& ref = segments.refs[lane];
       seg_refs[seg_fill] = ref;
-      seg_firsts[seg_fill] = ingress[i];
+      seg_firsts[seg_fill] = lanes.ingress[lane];
       seg_index[seg_fill] = lane;
       ++out.segmented_packets;
       out.segment_swaps += ref.label_count - 1;
       if (++seg_fill == batch_size) flush_segmented();
       continue;
     }
-    batch_labels[fill] = labels[i];
-    batch_firsts[fill] = ingress[i];
+    batch_labels[fill] = lanes.labels[lane];
+    batch_firsts[fill] = lanes.ingress[lane];
     batch_index[fill] = lane;
     ++fill;
     if (fill == batch_size) flush();
@@ -164,26 +163,41 @@ void replay_slice(const polka::CompiledFabric& fabric,
 
 }  // namespace
 
+LaneRoutes::LaneRoutes(const PacketStream& stream)
+    : alive(stream.pairs.size(), 1),
+      seg_labels(stream.seg_labels),
+      seg_waypoints(stream.seg_waypoints),
+      seg_refs(stream.seg_refs) {
+  labels.reserve(stream.pairs.size());
+  ingress.reserve(stream.pairs.size());
+  expected.reserve(stream.pairs.size());
+  for (const TrafficPair& pair : stream.pairs) {
+    labels.push_back(pair.label);
+    ingress.push_back(pair.ingress);
+    expected.push_back(pair.expected);
+  }
+  // Streams built before segmentation (or by hand) may lack refs; give
+  // every lane a default single-label ref so repair can upgrade it.
+  seg_refs.resize(stream.pairs.size());
+}
+
 ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
-                             std::span<const polka::RouteLabel> labels,
-                             std::span<const std::uint32_t> ingress,
-                             std::span<const std::uint32_t> index,
-                             std::span<const polka::PacketResult> expected,
-                             std::span<const std::uint8_t> alive,
-                             SegmentTable segments, unsigned threads,
+                             std::span<const std::uint32_t> packet_lanes,
+                             const LaneTable& lanes, unsigned threads,
                              std::size_t batch_size, std::size_t max_hops,
                              obs::MetricRegistry* metrics) {
-  if (labels.size() != ingress.size() || labels.size() != index.size()) {
-    throw std::invalid_argument("replay_shards: span length mismatch");
+  const std::size_t lane_count = lanes.size();
+  if (lanes.ingress.size() != lane_count ||
+      lanes.expected.size() != lane_count ||
+      (!lanes.alive.empty() && lanes.alive.size() != lane_count) ||
+      (!lanes.segments.refs.empty() &&
+       lanes.segments.refs.size() != lane_count)) {
+    throw std::invalid_argument("replay_shards: lane span length mismatch");
   }
   if (batch_size == 0) {
     throw std::invalid_argument("replay_shards: batch_size must be > 0");
   }
-  if (!segments.refs.empty() && segments.refs.size() < expected.size()) {
-    throw std::invalid_argument(
-        "replay_shards: segment refs do not cover every lane");
-  }
-  const std::size_t total = labels.size();
+  const std::size_t total = packet_lanes.size();
   std::size_t workers = std::max<unsigned>(threads, 1);
   workers = std::min(workers, std::max<std::size_t>(total, 1));
 
@@ -199,18 +213,16 @@ ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
   const auto start = std::chrono::steady_clock::now();
   std::vector<ScenarioReport> partial(workers);
   if (workers == 1) {
-    replay_slice(fabric, labels, ingress, index, expected, alive, segments,
-                 batch_size, max_hops, partial[0], rm);
+    replay_slice(fabric, packet_lanes, lanes, batch_size, max_hops,
+                 partial[0], rm);
   } else {
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       const auto [begin, end] = shard_bounds(total, w, workers);
       pool.emplace_back([&, w, begin = begin, end = end] {
-        replay_slice(fabric, labels.subspan(begin, end - begin),
-                     ingress.subspan(begin, end - begin),
-                     index.subspan(begin, end - begin), expected, alive,
-                     segments, batch_size, max_hops, partial[w], rm);
+        replay_slice(fabric, packet_lanes.subspan(begin, end - begin), lanes,
+                     batch_size, max_hops, partial[w], rm);
       });
     }
     for (auto& t : pool) t.join();
@@ -228,7 +240,7 @@ ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
 }
 
 ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
-                                   PacketStream& stream) const {
+                                   const PacketStream& stream) const {
   // Hand the taps to the fabric too, so failure repairs below show up
   // as compile.* metrics/phases (skip when we have none to offer --
   // the caller may have attached its own).
@@ -249,18 +261,9 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
   // Epoch boundaries from the failure schedule.
   std::vector<LinkFailure> failures = options_.failures;
   std::ranges::stable_sort(failures, {}, &LinkFailure::at_fraction);
-  std::vector<std::uint8_t> alive(stream.pairs.size(), 1);
-  // Streams built before segmentation (or by hand) may lack refs; give
-  // every lane a default single-label ref so repair can upgrade it.
-  if (stream.seg_refs.size() < stream.pairs.size()) {
-    stream.seg_refs.resize(stream.pairs.size());
-  }
-  // Contiguous copy of the per-pair expectations (TrafficPair embeds
-  // them with a stride); refreshed whenever a failure rewrites one.
-  std::vector<polka::PacketResult> expected(stream.pairs.size());
-  for (std::size_t i = 0; i < stream.pairs.size(); ++i) {
-    expected[i] = stream.pairs[i].expected;
-  }
+  // Run-local lane state: failure repairs rewrite it, never the
+  // caller's stream.
+  LaneRoutes lanes(stream);
 
   // Streams intern each (src, dst) once; resolve lane by pair key once
   // instead of per failure event (flap schedules fire dozens).
@@ -276,39 +279,49 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
   std::size_t done = 0;
   std::size_t next_failure = 0;
 
+  // Replay the stream from `done` up to `upto` against the lanes'
+  // current routes.  Views are rebuilt per call: repair may grow the
+  // segment pools (and reallocate them).
+  auto replay_to = [&](std::size_t upto) {
+    if (upto <= done) return;
+    // Sequential partials: counters and wall clock both sum.
+    report.merge_from(replay_shards(
+        fast, std::span<const std::uint32_t>(stream.pair).subspan(
+                  done, upto - done),
+        lanes.table(), options_.threads, options_.batch_size,
+        options_.max_hops, options_.metrics));
+    done = upto;
+  };
+
   // Repoint every listed pair's lane at its current cached route (all
-  // cache hits: the failover event already stored them) and rewrite the
-  // unreplayed tail's labels in one pass.  `revive` resurrects lanes a
-  // previous failure severed (link restores bring their routes back);
-  // `touched` collects the updated lanes for the caller's loss window.
+  // cache hits: the failover event already stored them).  Packets read
+  // their route from the lane, so this is O(pairs listed) however much
+  // of the stream is left.  `revive` resurrects lanes a previous
+  // failure severed (link restores bring their routes back); `touched`
+  // collects the updated lanes for the caller's loss window.
   auto relabel =
       [&](const std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>>&
               pairs,
           bool revive, std::vector<std::uint32_t>* touched) {
-        std::unordered_map<std::uint32_t, polka::RouteLabel> new_label;
         for (const auto& [src, dst] : pairs) {
           const auto it = lane_of.find(netsim::node_pair_key(src, dst));
           if (it == lane_of.end()) continue;
           const std::uint32_t lane = it->second;
-          if (!alive[lane] && !revive) continue;
+          if (!lanes.alive[lane] && !revive) continue;
           const CompiledRoute* route = fabric.route(src, dst);
           if (route == nullptr || route->segments.labels.empty()) {
-            alive[lane] = 0;
+            lanes.alive[lane] = 0;
             continue;
           }
-          alive[lane] = 1;
+          lanes.alive[lane] = 1;
           ++report.rerouted_pairs;
-          stream.pairs[lane].expected = route->expected;
-          expected[lane] = route->expected;
-          new_label.emplace(lane, route->segments.labels.front());
+          lanes.expected[lane] = route->expected;
+          lanes.labels[lane] = route->segments.labels.front();
           // A detour may gain or lose segments; pool the new list and
           // repoint the lane (orphaning its old slice is harmless).
-          stream.seg_refs[lane] = append_segments(stream, route->segments);
+          lanes.seg_refs[lane] = append_segments(
+              lanes.seg_labels, lanes.seg_waypoints, route->segments);
           if (touched != nullptr) touched->push_back(lane);
-        }
-        for (std::size_t i = done; i < total && !new_label.empty(); ++i) {
-          const auto it = new_label.find(stream.pair[i]);
-          if (it != new_label.end()) stream.labels[i] = it->second;
         }
       };
 
@@ -322,26 +335,11 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
       end = std::max(end, done);
     }
     if (end > done) {
-      const std::size_t count = end - done;
       obs::TraceScope epoch_scope(options_.trace, "replay.epoch", "replay");
-      // Spans over the stream's pools are rebuilt per epoch: failure
-      // repair below may grow them (and reallocate).
-      const SegmentTable segments{stream.seg_labels, stream.seg_waypoints,
-                                  stream.seg_refs};
-      const ScenarioReport epoch = replay_shards(
-          fast,
-          std::span<const polka::RouteLabel>(stream.labels.data() + done,
-                                             count),
-          std::span<const std::uint32_t>(stream.ingress.data() + done, count),
-          std::span<const std::uint32_t>(stream.pair.data() + done, count),
-          expected, alive, segments, options_.threads, options_.batch_size,
-          options_.max_hops, options_.metrics);
-      // Sequential epoch partials: counters and wall clock both sum.
-      report.merge_from(epoch);
+      replay_to(end);
       if (options_.metrics != nullptr) {
         options_.metrics->counter("replay.epochs").add(1);
       }
-      done = end;
     }
     if (next_failure < failures.size()) {
       const LinkFailure& failure = failures[next_failure++];
@@ -373,8 +371,8 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
       for (const auto* list : {&ev.unroutable, &std::as_const(lazy).unroutable}) {
         for (const auto& [src, dst] : *list) {
           const auto it = lane_of.find(netsim::node_pair_key(src, dst));
-          if (it == lane_of.end() || !alive[it->second]) continue;
-          alive[it->second] = 0;
+          if (it == lane_of.end() || !lanes.alive[it->second]) continue;
+          lanes.alive[it->second] = 0;
           severed.push_back(it->second);
           ++report.unroutable_pairs;
         }
@@ -410,7 +408,7 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
         }
         std::unordered_map<std::uint32_t, std::size_t> quota;
         for (const std::uint32_t lane : window_lanes) {
-          if (alive[lane] != 0) {
+          if (lanes.alive[lane] != 0) {
             quota.emplace(lane, options_.loss_window_per_recompile);
           }
         }
@@ -433,33 +431,16 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
             unfinished.push_back(lane);
           }
         }
-        for (const auto& [lane, left] : quota) alive[lane] = 0;
-        auto replay_to = [&](std::size_t upto) {
-          if (upto <= done) return;
-          const SegmentTable segments{stream.seg_labels, stream.seg_waypoints,
-                                      stream.seg_refs};
-          const std::size_t count = upto - done;
-          const ScenarioReport window = replay_shards(
-              fast,
-              std::span<const polka::RouteLabel>(stream.labels.data() + done,
-                                                 count),
-              std::span<const std::uint32_t>(stream.ingress.data() + done,
-                                             count),
-              std::span<const std::uint32_t>(stream.pair.data() + done, count),
-              expected, alive, segments, options_.threads,
-              options_.batch_size, options_.max_hops, options_.metrics);
-          report.merge_from(window);
-          done = upto;
-        };
+        for (const auto& [lane, left] : quota) lanes.alive[lane] = 0;
         for (const auto& [chop_end, lane] : chops) {
           replay_to(chop_end);
-          alive[lane] = 1;  // this lane converged; it forwards again
+          lanes.alive[lane] = 1;  // this lane converged; it forwards again
         }
         if (!unfinished.empty()) {
           // Lanes whose window outlives the inter-event gap (or the
           // stream) stay masked to the bound, then resume.
           replay_to(bound);
-          for (const std::uint32_t lane : unfinished) alive[lane] = 1;
+          for (const std::uint32_t lane : unfinished) lanes.alive[lane] = 1;
         }
       }
       report.failover_packets_lost += lost;

@@ -1,16 +1,18 @@
 #pragma once
 // ScenarioRunner: sharded multi-threaded replay of a packet stream.
 //
-// The stream's parallel arrays are cut into one contiguous slice per
-// worker thread; each worker drives CompiledFabric::forward_batch over
-// its slice with private scratch buffers and counters, which are merged
-// after join.  The compiled fabric is immutable during a replay, so
-// workers share it without synchronization.  An optional link-failure
+// The stream's per-packet lane indices are cut into one contiguous
+// slice per worker thread; each worker drives
+// CompiledFabric::forward_batch over its slice with private scratch
+// buffers and counters, which are merged after join.  The compiled
+// fabric is immutable during a replay, so workers share it without
+// synchronization.  An optional link-failure
 // schedule splits the stream into epochs: at each failure point the
-// affected routes are recompiled against the degraded topology and the
-// not-yet-replayed packets of those pairs get their new labels --
-// including fresh segment lists when the detour outgrows one 64-bit
-// label (only pairs that lose connectivity are dropped and counted).
+// affected routes are recompiled against the degraded topology and
+// those pairs' lanes get their new labels -- including fresh segment
+// lists when the detour outgrows one 64-bit label (only pairs that
+// lose connectivity are dropped and counted).  A relabel therefore
+// costs O(lanes affected), not O(packets left in the stream).
 // Packets a hop cap kills mid-flight are reported as ttl_expired, never
 // as deliveries.
 
@@ -138,50 +140,73 @@ struct ScenarioReport {
 /// Pooled per-pair segment routes for a replay: refs is indexed by the
 /// stream's pair lane; a lane whose ref has label_count > 1 replays via
 /// CompiledFabric::forward_segmented over the pooled labels/waypoints,
-/// every other lane via the packet's own 64-bit label.  Empty refs
-/// (the default) means every lane is single-label.
+/// every other lane via its own 64-bit label.  Empty refs (the
+/// default) means every lane is single-label.
 struct SegmentTable {
   std::span<const polka::RouteLabel> labels;
   std::span<const std::uint32_t> waypoints;
   std::span<const polka::SegmentRef> refs;
 };
 
-/// Low-level sharded replay of parallel label/ingress arrays.  Each
-/// packet's expectation is expected[index[i]]; `alive`, when nonempty,
-/// is indexed the same way and marks packets to skip (counted as
-/// dropped); `segments.refs`, when nonempty, must cover every lane
-/// value.  This is the primitive both ScenarioRunner and
+/// Per-lane route state a replay reads, every span indexed by lane
+/// (the per-packet value of PacketStream::pair).  A packet forwards
+/// with its lane's label from its lane's ingress -- or through the
+/// lane's pooled segment list -- and is checked against its lane's
+/// expectation.  `alive`, when nonempty, marks lanes whose packets are
+/// skipped (counted as dropped).  At a few thousand lanes the label
+/// and ingress columns stay cache-resident however long the stream.
+struct LaneTable {
+  std::span<const polka::RouteLabel> labels;  ///< first-segment label
+  std::span<const std::uint32_t> ingress;     ///< fabric injection node
+  std::span<const polka::PacketResult> expected;
+  std::span<const std::uint8_t> alive;
+  SegmentTable segments;
+
+  [[nodiscard]] std::size_t size() const noexcept { return labels.size(); }
+};
+
+/// Owning, mutable copy of a stream's lane state: the columns of its
+/// TrafficPairs plus private copies of its segment pools, every lane
+/// alive and carrying a segment ref.  ScenarioRunner repairs routes in
+/// one of these, so the caller's stream is never touched.
+struct LaneRoutes {
+  std::vector<polka::RouteLabel> labels;
+  std::vector<std::uint32_t> ingress;
+  std::vector<polka::PacketResult> expected;
+  std::vector<std::uint8_t> alive;
+  std::vector<polka::RouteLabel> seg_labels;
+  std::vector<std::uint32_t> seg_waypoints;
+  std::vector<polka::SegmentRef> seg_refs;
+
+  LaneRoutes() = default;
+  explicit LaneRoutes(const PacketStream& stream);
+
+  /// Views of the current columns; valid until the next repair grows a
+  /// segment pool.
+  [[nodiscard]] LaneTable table() const noexcept {
+    return {labels, ingress, expected, alive,
+            {seg_labels, seg_waypoints, seg_refs}};
+  }
+};
+
+/// Low-level sharded replay: `packet_lanes[i]` is packet i's lane in
+/// `lanes`.  Throws std::invalid_argument when batch_size is 0 or the
+/// lane spans disagree in length (alive and segment refs only when
+/// nonempty).  This is the primitive both ScenarioRunner and
 /// core::PolkaService build on.
 /// `metrics`, when set, receives replay.* counters (packets and folds
 /// added per batch flush, outcome counters per slice) recorded
 /// concurrently by every worker -- the registry's sharded hot path is
 /// exactly what absorbs that.
 ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
-                             std::span<const polka::RouteLabel> labels,
-                             std::span<const std::uint32_t> ingress,
-                             std::span<const std::uint32_t> index,
-                             std::span<const polka::PacketResult> expected,
-                             std::span<const std::uint8_t> alive,
-                             SegmentTable segments, unsigned threads,
+                             std::span<const std::uint32_t> packet_lanes,
+                             const LaneTable& lanes, unsigned threads,
                              std::size_t batch_size, std::size_t max_hops = 64,
                              obs::MetricRegistry* metrics = nullptr);
 
-/// Single-label convenience overload (no segment table).
-inline ScenarioReport replay_shards(
-    const polka::CompiledFabric& fabric,
-    std::span<const polka::RouteLabel> labels,
-    std::span<const std::uint32_t> ingress,
-    std::span<const std::uint32_t> index,
-    std::span<const polka::PacketResult> expected,
-    std::span<const std::uint8_t> alive, unsigned threads,
-    std::size_t batch_size, std::size_t max_hops = 64,
-    obs::MetricRegistry* metrics = nullptr) {
-  return replay_shards(fabric, labels, ingress, index, expected, alive,
-                       SegmentTable{}, threads, batch_size, max_hops, metrics);
-}
-
 /// Replays a stream over its fabric, applying the failure schedule.
-/// The stream is mutated in place when failures rewrite labels.
+/// The stream is read-only: failures rewrite lane state in a run-local
+/// LaneRoutes.
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(RunnerOptions options = {})
@@ -191,7 +216,7 @@ class ScenarioRunner {
     return options_;
   }
 
-  ScenarioReport run(BuiltFabric& fabric, PacketStream& stream) const;
+  ScenarioReport run(BuiltFabric& fabric, const PacketStream& stream) const;
 
  private:
   RunnerOptions options_;

@@ -15,14 +15,12 @@ using netsim::NodeIndex;
 constexpr std::uint32_t kSkippedPair = 0xFFFFFFFFu;
 
 /// Pair interning shared by the pattern generators: compiles the route
-/// on first sight, records skip reasons once, and keeps the per-pair
-/// label/ingress the emission loop reads.
+/// on first sight, records skip reasons once, and keeps each lane's
+/// topology path for the elephant/mice flow mapping.
 struct PairTable {
   BuiltFabric& fabric;
   PacketStream& stream;
   std::unordered_map<std::uint64_t, std::uint32_t> index;
-  std::vector<polka::RouteLabel> label;
-  std::vector<std::uint32_t> ingress;
   std::vector<netsim::Path> path;
 
   /// Index of the usable pair, or nullopt (unreachable / oversized).
@@ -44,12 +42,13 @@ struct PairTable {
       return std::nullopt;
     }
     const auto id = static_cast<std::uint32_t>(stream.pairs.size());
-    stream.pairs.push_back(TrafficPair{src, dst, route->expected});
-    // Multi-segment pairs pool their labels/waypoints; every packet's
-    // own label is the first segment's either way.
-    stream.seg_refs.push_back(append_segments(stream, route->segments));
-    label.push_back(route->segments.labels.front());
-    ingress.push_back(route->ingress);
+    // Multi-segment pairs pool their labels/waypoints; the lane's own
+    // label is the first segment's either way.
+    stream.pairs.push_back(TrafficPair{src, dst, route->expected,
+                                       route->segments.labels.front(),
+                                       route->ingress});
+    stream.seg_refs.push_back(append_segments(
+        stream.seg_labels, stream.seg_waypoints, route->segments));
     path.push_back(route->path);
     index.emplace(key, id);
     return id;
@@ -79,12 +78,6 @@ std::vector<std::uint32_t> sample_pairs(PairTable& table,
   return lanes;
 }
 
-void emit(PacketStream& stream, const PairTable& table, std::uint32_t lane) {
-  stream.labels.push_back(table.label[lane]);
-  stream.ingress.push_back(table.ingress[lane]);
-  stream.pair.push_back(lane);
-}
-
 void generate_elephant_mice(PacketStream& stream, PairTable& table,
                             std::vector<std::uint32_t> lanes,
                             const TrafficParams& params) {
@@ -104,10 +97,10 @@ void generate_elephant_mice(PacketStream& stream, PairTable& table,
     for (const auto& flow : flows) {
       const auto it = lane_of_path.find(flow.spec.path);
       if (it == lane_of_path.end()) continue;
-      std::size_t count = std::min(
+      const std::size_t count = std::min(
           netsim::packet_count(flow.spec, params.mtu_bytes, per_flow_cap),
           params.packets - stream.size());
-      for (std::size_t i = 0; i < count; ++i) emit(stream, table, it->second);
+      stream.pair.insert(stream.pair.end(), count, it->second);
       if (stream.size() == params.packets) break;
     }
     ++wp.seed;  // another arrival process if the budget is not yet full
@@ -116,18 +109,17 @@ void generate_elephant_mice(PacketStream& stream, PairTable& table,
 
 }  // namespace
 
-polka::SegmentRef append_segments(PacketStream& stream,
+polka::SegmentRef append_segments(std::vector<polka::RouteLabel>& labels,
+                                  std::vector<std::uint32_t>& waypoints,
                                   const polka::SegmentedRoute& route) {
   polka::SegmentRef ref;
   if (route.single_label()) return ref;
-  ref.first_label = static_cast<std::uint32_t>(stream.seg_labels.size());
-  ref.first_waypoint =
-      static_cast<std::uint32_t>(stream.seg_waypoints.size());
+  ref.first_label = static_cast<std::uint32_t>(labels.size());
+  ref.first_waypoint = static_cast<std::uint32_t>(waypoints.size());
   ref.label_count = static_cast<std::uint32_t>(route.labels.size());
-  stream.seg_labels.insert(stream.seg_labels.end(), route.labels.begin(),
-                           route.labels.end());
-  stream.seg_waypoints.insert(stream.seg_waypoints.end(),
-                              route.waypoints.begin(), route.waypoints.end());
+  labels.insert(labels.end(), route.labels.begin(), route.labels.end());
+  waypoints.insert(waypoints.end(), route.waypoints.begin(),
+                   route.waypoints.end());
   return ref;
 }
 
@@ -156,9 +148,7 @@ PacketStream generate_traffic(BuiltFabric& fabric,
   }
   std::mt19937_64 rng(params.seed);
   PacketStream stream;
-  PairTable table{fabric, stream, {}, {}, {}, {}};
-  stream.labels.reserve(params.packets);
-  stream.ingress.reserve(params.packets);
+  PairTable table{fabric, stream, {}, {}};
   stream.pair.reserve(params.packets);
 
   std::vector<std::uint32_t> lanes;
@@ -204,9 +194,9 @@ PacketStream generate_traffic(BuiltFabric& fabric,
       const bool hot_packet =
           !hot_lanes.empty() && (lanes.empty() || to_hot(rng));
       if (hot_packet) {
-        emit(stream, table, hot_lanes[next_hot++ % hot_lanes.size()]);
+        stream.pair.push_back(hot_lanes[next_hot++ % hot_lanes.size()]);
       } else {
-        emit(stream, table, lanes[next_bg++ % lanes.size()]);
+        stream.pair.push_back(lanes[next_bg++ % lanes.size()]);
       }
     }
     return stream;
@@ -219,7 +209,7 @@ PacketStream generate_traffic(BuiltFabric& fabric,
     return stream;
   }
   for (std::size_t i = 0; i < params.packets; ++i) {
-    emit(stream, table, lanes[i % lanes.size()]);
+    stream.pair.push_back(lanes[i % lanes.size()]);
   }
   return stream;
 }

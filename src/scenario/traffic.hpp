@@ -1,11 +1,12 @@
 #pragma once
-// Traffic-matrix generators: per-packet (ingress, label) streams.
+// Traffic-matrix generators: per-packet lane streams.
 //
 // A scenario's workload is a flat packet stream over a BuiltFabric:
-// contiguous arrays of 64-bit labels and ingress nodes (the exact shape
-// CompiledFabric::forward_batch consumes) plus, per packet, the index
-// of its (src, dst) pair so expectations can be checked and labels
-// rewritten when a link failure forces a recompile mid-run.  Four
+// per packet, only the index of its lane -- one (src, dst) pair.  The
+// route is a property of the lane, not of the packet: each lane
+// carries its first-segment 64-bit label, its ingress node and its
+// expected outcome, so a failover that recompiles a pair rewrites one
+// lane entry however many packets the pair still has to send.  Four
 // matrix shapes: uniform-random pairs, a router permutation, hotspot
 // (a weighted share of traffic converging on one destination) and the
 // elephant/mice FCT mix reused from netsim::workload.
@@ -42,22 +43,25 @@ struct TrafficParams {
   double mtu_bytes = 1500.0;
 };
 
-/// One traffic endpoint pair and its compiled expectations.
+/// One traffic lane: an endpoint pair and its compiled route.
 struct TrafficPair {
   netsim::NodeIndex src = 0;  ///< topology index
   netsim::NodeIndex dst = 0;
   polka::PacketResult expected;  ///< egress node/port/hops for the pair
+  polka::RouteLabel label;       ///< first-segment 64-bit label
+  std::uint32_t ingress = 0;     ///< fabric injection node
+
+  friend bool operator==(const TrafficPair&,
+                         const TrafficPair&) noexcept = default;
 };
 
-/// A replayable packet stream.  labels/ingress/pair are parallel
-/// arrays, one entry per packet.  Pairs whose route needs more than one
-/// 64-bit label carry their segments in the pooled arrays below (the
-/// packet's own label then duplicates the first segment); seg_refs is
-/// parallel to `pairs`.
+/// A replayable packet stream: `pair` holds one lane index per packet;
+/// every route fact lives on the lane.  Pairs whose route needs more
+/// than one 64-bit label carry their segments in the pooled arrays
+/// below (the lane's own label then duplicates the first segment);
+/// seg_refs is parallel to `pairs`.
 struct PacketStream {
-  std::vector<polka::RouteLabel> labels;
-  std::vector<std::uint32_t> ingress;  ///< fabric injection node
-  std::vector<std::uint32_t> pair;     ///< index into `pairs`
+  std::vector<std::uint32_t> pair;  ///< per packet: index into `pairs`
   std::vector<TrafficPair> pairs;
   /// Pooled multi-segment routes: seg_refs[lane] slices seg_labels /
   /// seg_waypoints; label_count == 1 means the pair is single-label.
@@ -70,15 +74,17 @@ struct PacketStream {
   std::size_t unpackable_pairs = 0;
   std::size_t unreachable_pairs = 0;
 
-  [[nodiscard]] std::size_t size() const noexcept { return labels.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return pair.size(); }
 };
 
-/// Pool a route's segment list into the stream's pooled arrays and
-/// return the ref describing the slice.  A single-label route pools
+/// Pool a route's segment list into a pair of pooled arrays (a
+/// stream's seg_labels / seg_waypoints, or a runner's private copies)
+/// and return the ref describing the slice.  A single-label route pools
 /// nothing and returns the default (label_count == 1) ref.  Shared by
-/// stream generation and the runner's failure repair so the ref layout
-/// has exactly one author.
-polka::SegmentRef append_segments(PacketStream& stream,
+/// stream generation and both runners' failure repair so the ref
+/// layout has exactly one author.
+polka::SegmentRef append_segments(std::vector<polka::RouteLabel>& labels,
+                                  std::vector<std::uint32_t>& waypoints,
                                   const polka::SegmentedRoute& route);
 
 /// Generate a packet stream over the fabric's routers.  Compiles every

@@ -131,32 +131,28 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   };
   std::vector<FlowDef> flow_defs;
   {
+    constexpr auto kNoFlow = std::numeric_limits<std::size_t>::max();
     struct Cadence {
       std::size_t injected = 0;
       Tick next_inject = 0;
-      std::size_t def = 0;  ///< index into flow_defs
+      std::size_t def = kNoFlow;  ///< index into flow_defs
     };
-    std::unordered_map<std::uint32_t, Cadence> cadence;  // lane -> state
-    std::size_t flow_count = 0;
+    // Lanes are dense 0..pairs.size(): index, don't hash.
+    std::vector<Cadence> cadence(stream.pairs.size());
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const std::uint32_t lane = stream.pair[i];
-      auto it = cadence.find(lane);
-      if (it == cadence.end() ||
-          it->second.injected >= options_.flow_packets) {
-        Cadence fresh;
-        fresh.next_inject =
-            static_cast<Tick>(flow_count) * options_.flow_gap_ns;
-        fresh.def = flow_defs.size();
-        flow_defs.push_back(
-            {lane, stream.ingress[i], fresh.next_inject, 0});
-        ++flow_count;
-        it = cadence.insert_or_assign(lane, fresh).first;
+      Cadence& c = cadence[lane];
+      if (c.def == kNoFlow || c.injected >= options_.flow_packets) {
+        const auto start =
+            static_cast<Tick>(flow_defs.size()) * options_.flow_gap_ns;
+        c = Cadence{0, start, flow_defs.size()};
+        flow_defs.push_back({lane, stream.pairs[lane].ingress, start, 0});
       }
-      inject_at[i] = it->second.next_inject;
+      inject_at[i] = c.next_inject;
       last_inject = std::max(last_inject, inject_at[i]);
-      ++it->second.injected;
-      it->second.next_inject += src_gap;
-      ++flow_defs[it->second.def].packets;
+      ++c.injected;
+      c.next_inject += src_gap;
+      ++flow_defs[c.def].packets;
     }
   }
 
@@ -174,7 +170,8 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     polka::SegmentRef ref{};
     polka::PacketResult expected{};
   };
-  std::unordered_map<std::uint32_t, std::vector<RouteVersion>> versions;
+  // Per-lane timeline of adopted failover routes (empty: base route).
+  std::vector<std::vector<RouteVersion>> versions(stream.pairs.size());
   // Failure rewrites pool fresh segment lists on private copies -- the
   // caller's stream is never mutated (contract of run()).
   std::vector<polka::RouteLabel> pool_labels(stream.seg_labels.begin(),
@@ -196,19 +193,6 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
                                             stream.pairs[lane].dst),
                       lane);
     }
-    auto append_ref =
-        [&](const polka::SegmentedRoute& route) -> polka::SegmentRef {
-      polka::SegmentRef ref;
-      if (route.single_label()) return ref;
-      ref.first_label = static_cast<std::uint32_t>(pool_labels.size());
-      ref.first_waypoint = static_cast<std::uint32_t>(pool_waypoints.size());
-      ref.label_count = static_cast<std::uint32_t>(route.labels.size());
-      pool_labels.insert(pool_labels.end(), route.labels.begin(),
-                         route.labels.end());
-      pool_waypoints.insert(pool_waypoints.end(), route.waypoints.begin(),
-                            route.waypoints.end());
-      return ref;
-    };
     auto adopt =
         [&](const std::vector<std::pair<netsim::NodeIndex,
                                         netsim::NodeIndex>>& pairs,
@@ -222,7 +206,8 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
             RouteVersion v;
             v.at = effective;
             v.label = route->segments.labels.front();
-            v.ref = append_ref(route->segments);
+            v.ref = scenario::append_segments(pool_labels, pool_waypoints,
+                                              route->segments);
             v.expected = route->expected;
             versions[it->second].push_back(v);
             ++matched;
@@ -267,7 +252,7 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     }
     // Events land in tick order but the two control-plane latencies can
     // interleave adoptions; keep each lane's timeline sorted.
-    for (auto& [lane, timeline] : versions) {
+    for (auto& timeline : versions) {
       std::ranges::stable_sort(timeline, {}, &RouteVersion::at);
     }
   }
@@ -283,27 +268,21 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     transport.emplace(sim, options_.transport, options_.packet_bytes,
                       registry);
     constexpr auto kNoLane = std::numeric_limits<std::uint32_t>::max();
-    std::vector<std::uint32_t> base_label_at(stream.pairs.size(), kNoLane);
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      if (base_label_at[stream.pair[i]] == kNoLane) {
-        base_label_at[stream.pair[i]] = static_cast<std::uint32_t>(i);
-      }
-    }
+    std::vector<std::uint8_t> has_flows(stream.pairs.size(), 0);
+    for (const FlowDef& def : flow_defs) has_flows[def.lane] = 1;
     std::vector<std::uint32_t> tp_lane(stream.pairs.size(), kNoLane);
     for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
-      if (base_label_at[lane] == kNoLane) continue;  // pair without packets
+      if (has_flows[lane] == 0) continue;  // pair without packets
       std::vector<RouteEpoch> epochs;
       RouteEpoch base;
       base.from = 0;
-      base.label = stream.labels[base_label_at[lane]];
+      base.label = stream.pairs[lane].label;
       base.ref = lane < stream.seg_refs.size() ? stream.seg_refs[lane]
                                                : polka::SegmentRef{};
       base.expected = stream.pairs[lane].expected;
       epochs.push_back(base);
-      if (const auto it = versions.find(lane); it != versions.end()) {
-        for (const RouteVersion& v : it->second) {
-          epochs.push_back({v.at, v.label, v.ref, v.expected});
-        }
+      for (const RouteVersion& v : versions[lane]) {
+        epochs.push_back({v.at, v.label, v.ref, v.expected});
       }
       tp_lane[lane] = transport->add_lane(std::move(epochs));
     }
@@ -321,42 +300,38 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     // lane's cadence, so the packet timing stays exactly pass 1's.
     auto version_of = [&](std::uint32_t lane,
                           Tick at) -> const RouteVersion* {
-      const auto it = versions.find(lane);
-      if (it == versions.end()) return nullptr;
       const RouteVersion* best = nullptr;
-      for (const RouteVersion& v : it->second) {  // timelines are tiny
+      for (const RouteVersion& v : versions[lane]) {  // timelines are tiny
         if (v.at <= at) best = &v;
       }
       return best;
     };
+    constexpr auto kClosed = std::numeric_limits<std::uint32_t>::max();
     struct OpenFlow {
-      std::uint32_t handle = 0;
+      std::uint32_t handle = kClosed;
       std::size_t injected = 0;
       const RouteVersion* version = nullptr;
     };
-    std::unordered_map<std::uint32_t, OpenFlow> open;  // lane -> open flow
+    std::vector<OpenFlow> open(stream.pairs.size());  // lane -> open flow
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const std::uint32_t lane = stream.pair[i];
+      const scenario::TrafficPair& pair = stream.pairs[lane];
       const Tick at = inject_at[i];
       const RouteVersion* ver = version_of(lane, at);
-      auto it = open.find(lane);
-      if (it == open.end() || it->second.injected >= options_.flow_packets ||
-          it->second.version != ver) {
-        OpenFlow flow;
-        flow.handle = sim.add_flow(
-            ver != nullptr ? ver->expected : stream.pairs[lane].expected);
-        flow.version = ver;
-        it = open.insert_or_assign(lane, flow).first;
+      OpenFlow& flow = open[lane];
+      if (flow.handle == kClosed ||
+          flow.injected >= options_.flow_packets || flow.version != ver) {
+        flow = OpenFlow{
+            sim.add_flow(ver != nullptr ? ver->expected : pair.expected), 0,
+            ver};
       }
-      OpenFlow& flow = it->second;
-      const polka::RouteLabel label =
-          ver != nullptr ? ver->label : stream.labels[i];
+      const polka::RouteLabel label = ver != nullptr ? ver->label : pair.label;
       const polka::SegmentRef ref =
           ver != nullptr
               ? ver->ref
               : (lane < stream.seg_refs.size() ? stream.seg_refs[lane]
                                                : polka::SegmentRef{});
-      sim.inject(at, label, ref, stream.ingress[i], flow.handle);
+      sim.inject(at, label, ref, pair.ingress, flow.handle);
       ++flow.injected;
     }
   }

@@ -170,15 +170,18 @@ TEST(AllocGuard, ReplayAllocationsIndependentOfPacketCount) {
   const CompiledFabric& fast = fabric.compiled();
   const PacketResult want = fast.forward_one(label, 0);
 
+  // One lane; every packet of the stream replays it.
+  const std::vector<RouteLabel> labels{label};
+  const std::vector<std::uint32_t> ingress{0};
+  const std::vector<PacketResult> expected{want};
+  const scenario::LaneTable lanes{labels, ingress, expected, /*alive=*/{},
+                                  /*segments=*/{}};
+
   const auto replay = [&](std::size_t packets) {
-    const std::vector<RouteLabel> labels(packets, label);
-    const std::vector<std::uint32_t> ingress(packets, 0);
     const std::vector<std::uint32_t> index(packets, 0);
-    const std::vector<PacketResult> expected{want};
     const std::uint64_t before = alloc_count();
     const scenario::ScenarioReport report = scenario::replay_shards(
-        fast, labels, ingress, index, expected, /*alive=*/{}, /*threads=*/1,
-        /*batch_size=*/256);
+        fast, index, lanes, /*threads=*/1, /*batch_size=*/256);
     const std::uint64_t delta = alloc_count() - before;
     EXPECT_EQ(report.packets, packets);
     EXPECT_EQ(report.wrong_egress, 0u);

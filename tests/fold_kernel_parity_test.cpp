@@ -118,13 +118,14 @@ std::vector<PacketResult> replay_with_kernel(
   std::vector<std::size_t> seg_at;
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const std::uint32_t lane = stream.pair[i];
+    const scenario::TrafficPair& pair = stream.pairs[lane];
     if (!stream.seg_refs.empty() && stream.seg_refs[lane].label_count > 1) {
       seg_refs.push_back(stream.seg_refs[lane]);
-      seg_firsts.push_back(stream.ingress[i]);
+      seg_firsts.push_back(pair.ingress);
       seg_at.push_back(i);
     } else {
-      plain_labels.push_back(stream.labels[i]);
-      plain_firsts.push_back(stream.ingress[i]);
+      plain_labels.push_back(pair.label);
+      plain_firsts.push_back(pair.ingress);
       plain_at.push_back(i);
     }
   }

@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "scenario/registry.hpp"
 
 namespace hp::scenario {
@@ -185,17 +186,85 @@ TEST(ScenarioRegistry, CoversEveryFamilyAndPattern) {
 TEST(ReplayShards, ValidatesArguments) {
   BuiltFabric fabric(make_ring(4));
   const auto& fast = fabric.compiled();
-  std::vector<polka::RouteLabel> labels(4);
-  std::vector<std::uint32_t> ingress(3);
-  std::vector<std::uint32_t> index(4, 0);
-  std::vector<polka::PacketResult> expected(1);
-  EXPECT_THROW((void)replay_shards(fast, labels, ingress, index, expected, {},
-                                   1, 16),
+  // Two lanes; every lane span must agree on that count.
+  std::vector<polka::RouteLabel> labels(2);
+  std::vector<std::uint32_t> ingress(1);
+  std::vector<polka::PacketResult> expected(2);
+  std::vector<std::uint8_t> alive(3, 1);
+  std::vector<polka::SegmentRef> refs(1);
+  const std::vector<std::uint32_t> index(4, 0);
+  auto replay = [&](const LaneTable& lanes, std::size_t batch_size) {
+    return replay_shards(fast, index, lanes, 1, batch_size);
+  };
+  // Ingress, expected, alive and segment refs, one mismatch at a time.
+  EXPECT_THROW((void)replay({labels, ingress, expected, {}, {}}, 16),
                std::invalid_argument);
-  ingress.resize(4);
-  EXPECT_THROW((void)replay_shards(fast, labels, ingress, index, expected, {},
-                                   1, 0),
+  ingress.resize(2);
+  expected.resize(1);
+  EXPECT_THROW((void)replay({labels, ingress, expected, {}, {}}, 16),
                std::invalid_argument);
+  expected.resize(2);
+  EXPECT_THROW((void)replay({labels, ingress, expected, alive, {}}, 16),
+               std::invalid_argument);
+  alive.resize(2);
+  EXPECT_THROW(
+      (void)replay({labels, ingress, expected, alive, {{}, {}, refs}}, 16),
+      std::invalid_argument);
+  refs.resize(2);
+  EXPECT_THROW(
+      (void)replay({labels, ingress, expected, alive, {{}, {}, refs}}, 0),
+      std::invalid_argument);
+  // Empty alive / refs are optional, not mismatched.
+  EXPECT_NO_THROW((void)replay({labels, ingress, expected, {}, {}}, 16));
+  EXPECT_NO_THROW(
+      (void)replay({labels, ingress, expected, alive, {{}, {}, refs}}, 16));
+}
+
+#if !defined(NDEBUG) || defined(HP_FORCE_DCHECKS)
+TEST(ReplayShards, DchecksPacketLaneRange) {
+  BuiltFabric fabric(make_ring(4));
+  const std::vector<polka::RouteLabel> labels(2);
+  const std::vector<std::uint32_t> ingress(2);
+  const std::vector<polka::PacketResult> expected(2);
+  const std::vector<std::uint32_t> index{0, 1, 2};  // lane 2 of 2
+  EXPECT_THROW((void)replay_shards(fabric.compiled(), index,
+                                   {labels, ingress, expected, {}, {}}, 1, 16),
+               core::ContractViolation);
+}
+#endif
+
+TEST(ScenarioRunner, LeavesTheStreamUntouched) {
+  // Failures rewrite lane state; the caller's stream must not change,
+  // so the same stream replays to the same report on a twin fabric.
+  BuiltFabric fabric_a(make_ring(8));
+  BuiltFabric fabric_b(make_ring(8));
+  TrafficParams traffic;
+  traffic.packets = 4000;
+  traffic.seed = 11;
+  const PacketStream stream = generate_traffic(fabric_a, traffic);
+  (void)generate_traffic(fabric_b, traffic);  // same route cache as a
+  const PacketStream before = stream;
+
+  RunnerOptions options;
+  options.loss_window_per_recompile = 3;
+  const auto r = [&](const char* name) {
+    return fabric_a.topology().index_of(name);
+  };
+  options.failures = {{0.25, r("r0"), r("r1"), false},
+                      {0.5, r("r4"), r("r5"), false},
+                      {0.75, r("r0"), r("r1"), true}};
+  const ScenarioReport first = ScenarioRunner(options).run(fabric_a, stream);
+  EXPECT_GT(first.rerouted_pairs, 0u);
+  EXPECT_GT(first.failover_packets_lost, 0u);
+  EXPECT_EQ(stream.pair, before.pair);
+  EXPECT_EQ(stream.pairs, before.pairs);
+  EXPECT_EQ(stream.seg_labels, before.seg_labels);
+  EXPECT_EQ(stream.seg_waypoints, before.seg_waypoints);
+  EXPECT_EQ(stream.seg_refs, before.seg_refs);
+
+  ScenarioReport second = ScenarioRunner(options).run(fabric_b, stream);
+  second.seconds = first.seconds;  // wall clock is the one free field
+  EXPECT_EQ(second, first);
 }
 
 }  // namespace
