@@ -8,6 +8,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_bridge.hpp"
+#include "sim/transport.hpp"
 
 namespace hp::sim {
 
@@ -19,7 +20,7 @@ enum EventKind : std::uint32_t {
   kDrain = 1,     ///< arg = channel index; one serialization finished
   kLinkDown = 2,  ///< arg = channel index; the wire disappears
   kLinkUp = 3,    ///< arg = channel index; the wire comes back
-  kTimer = 4,     ///< arg = opaque cookie handed to config.timer_hook
+  kTimer = 4,     ///< arg = opaque cookie handed to Transport::on_timer
 };
 
 }  // namespace
@@ -32,7 +33,7 @@ PacketSim::PacketSim(const polka::CompiledFabric& fabric,
       channels_(std::move(channels)),
       node_offset_(std::move(node_offset)),
       port_channel_(std::move(port_channel)),
-      config_(std::move(config)) {
+      config_(config) {
   const std::size_t n = fabric_.node_count();
   if (node_offset_.size() != n + 1 || node_offset_.front() != 0 ||
       node_offset_.back() != port_channel_.size()) {
@@ -51,6 +52,7 @@ PacketSim::PacketSim(const polka::CompiledFabric& fabric,
     }
   }
   result_.links.assign(channels_.size(), LinkStat{});
+  published_links_ = result_.links;
   channel_state_.assign(channels_.size(), ChannelState{});
   link_up_.assign(channels_.size(), 1);
   register_metrics();
@@ -86,6 +88,42 @@ void PacketSim::register_metrics() {
   }
 }
 
+void PacketSim::publish_gauges() {
+  if (config_.metrics == nullptr) return;
+  const SimCounters& c = result_.counters;
+  obs_.in_flight->set(static_cast<std::int64_t>(
+      c.injected - c.delivered - c.dropped - c.ttl_expired));
+  for (std::size_t ch = 0; ch < channel_state_.size(); ++ch) {
+    obs_.link_depth[ch]->set(channel_state_[ch].queued);
+  }
+}
+
+void PacketSim::publish_counters() {
+  if (config_.metrics == nullptr) return;
+  const SimCounters& c = result_.counters;
+  const SimCounters& p = published_;
+  obs_.injected->add(c.injected - p.injected);
+  obs_.delivered->add(c.delivered - p.delivered);
+  obs_.tail_drops->add((c.dropped - c.failover_lost) -
+                       (p.dropped - p.failover_lost));
+  obs_.ttl_expired->add(c.ttl_expired - p.ttl_expired);
+  obs_.ecn_marked->add(c.ecn_marked - p.ecn_marked);
+  obs_.folds->add(c.mod_operations - p.mod_operations);
+  obs_.segment_swaps->add(c.segment_swaps - p.segment_swaps);
+  obs_.wrong_egress->add(c.wrong_egress - p.wrong_egress);
+  obs_.failover_lost->add(c.failover_lost - p.failover_lost);
+  obs_.link_events->add(c.link_events - p.link_events);
+  for (std::size_t ch = 0; ch < result_.links.size(); ++ch) {
+    const LinkStat& l = result_.links[ch];
+    const LinkStat& lp = published_links_[ch];
+    obs_.link_drops[ch]->add(l.tail_drops + l.failover_drops -
+                             lp.tail_drops - lp.failover_drops);
+    obs_.link_ecn[ch]->add(l.ecn_marks - lp.ecn_marks);
+  }
+  published_ = c;
+  published_links_ = result_.links;
+}
+
 void PacketSim::set_segment_pool(std::span<const polka::RouteLabel> labels,
                                  std::span<const std::uint32_t> waypoints) {
   pool_labels_ = labels;
@@ -107,8 +145,8 @@ std::uint32_t PacketSim::add_flow(const polka::PacketResult& expected) {
 }
 
 void PacketSim::schedule_timer(Tick at, std::uint32_t arg) {
-  if (!config_.timer_hook) {
-    throw std::logic_error("PacketSim::schedule_timer: no timer_hook set");
+  if (transport_ == nullptr) {
+    throw std::logic_error("PacketSim::schedule_timer: no transport attached");
   }
   queue_.push(at, kTimer, arg);
 }
@@ -145,22 +183,21 @@ std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
   ++fs.packets;
   ++result_.counters.injected;
   if (ref.label_count > 1) ++result_.counters.segmented_packets;
-  if (obs_.injected != nullptr) {
-    obs_.injected->add(1);
-    obs_.in_flight->add(1);
-  }
   queue_.push(at, kArrive, index);
   return index;
 }
 
 // HP_HOT_BEGIN(event_loop)
 // The discrete-event inner loop: every hop is a fold, a wiring lookup
-// and O(1) queue/state updates on storage sized at wiring time.  All
-// allocation (packets_, flows, the per-link vectors) happens in
-// inject()/register_metrics() before the clock starts; the loop itself
-// must stay growth-free (lint rule hot-path-purity) or event-rate
-// throughput becomes allocator-bound.  EventQueue::push re-uses its
-// heap's capacity after the first growth.
+// and O(1) queue/state updates on storage sized at wiring time.  The
+// loop's own code must stay growth-free (lint rule hot-path-purity) or
+// event-rate throughput becomes allocator-bound; the only registry
+// call per hop is the sim.queue_depth histogram record.  Growth that
+// remains happens in the calls it makes: inject() appends one packet
+// per send (open-loop runs inject everything before the clock starts,
+// but every closed-loop send is an in-loop inject()), the transport's
+// on_* bookkeeping and first-growth of EventQueue::push, which re-uses
+// its heap's capacity afterwards.
 void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
   HP_DCHECK(packet < packets_.size(), "PacketSim: arrival for unknown packet");
   PacketState& s = packets_[packet];
@@ -181,13 +218,11 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     ++s.seg;
     s.label = pool_labels_[s.ref.first_label + s.seg].bits;
     ++c.segment_swaps;
-    if (obs_.segment_swaps != nullptr) obs_.segment_swaps->add(1);
   }
   const std::uint32_t port =
       fabric_.port_of(polka::RouteLabel{s.label}, s.node);
   ++c.mod_operations;
   ++s.hops;
-  if (obs_.folds != nullptr) obs_.folds->add(1);
   const std::uint32_t peer = fabric_.neighbor(s.node, port);
   FlowStat& fs = result_.flows[s.flow];
   // Shared delivery tail: the unwired-port and channel-less-port exits.
@@ -196,18 +231,20 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     ++fs.delivered;
     fs.last_delivery = std::max(fs.last_delivery, t);
     const polka::PacketResult got{s.node, port, s.hops, false};
-    const bool wrong = got != flow_expected_[s.flow];
-    if (wrong) ++c.wrong_egress;
-    if (obs_.delivered != nullptr) {
-      obs_.delivered->add(1);
-      obs_.in_flight->sub(1);
-      if (wrong) obs_.wrong_egress->add(1);
-    }
+    if (got != flow_expected_[s.flow]) ++c.wrong_egress;
     if (flight != nullptr) {
       flight->record({t, s.flow, packet, s.node, port, 0,
                       obs::HopOutcome::kDelivered});
     }
-    if (config_.delivered_hook) config_.delivered_hook(t, s.flow, packet);
+    if (transport_ != nullptr) transport_->on_delivered(t, packet);
+  };
+  // Shared loss tail: every cause is counted by the caller first.
+  const auto lose = [&](DropCause cause, std::uint32_t depth,
+                        obs::HopOutcome outcome) {
+    if (flight != nullptr) {
+      flight->record({t, s.flow, packet, s.node, port, depth, outcome});
+    }
+    if (transport_ != nullptr) transport_->on_dropped(t, packet, cause);
   };
   if (peer == polka::CompiledFabric::kNoNode) {
     // Unwired port: the packet egresses here -- a delivery.
@@ -216,18 +253,7 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
   }
   if (s.hops >= config_.max_hops) {
     ++c.ttl_expired;
-    ++fs.ttl_expired;
-    if (obs_.ttl_expired != nullptr) {
-      obs_.ttl_expired->add(1);
-      obs_.in_flight->sub(1);
-    }
-    if (flight != nullptr) {
-      flight->record({t, s.flow, packet, s.node, port, 0,
-                      obs::HopOutcome::kTtlExpired});
-    }
-    if (config_.drop_hook) {
-      config_.drop_hook(t, s.flow, packet, DropCause::kTtlExpired);
-    }
+    lose(DropCause::kTtlExpired, 0, obs::HopOutcome::kTtlExpired);
     return;
   }
   const std::uint32_t ch = port_channel_[node_offset_[s.node] + port];
@@ -246,57 +272,24 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     // left their source before the control plane swapped the route.
     ++c.dropped;
     ++c.failover_lost;
-    ++fs.dropped;
     ++stat.failover_drops;
-    if (obs_.failover_lost != nullptr) {
-      obs_.failover_lost->add(1);
-      obs_.link_drops[ch]->add(1);
-      obs_.in_flight->sub(1);
-    }
-    if (flight != nullptr) {
-      flight->record({t, s.flow, packet, s.node, port, state.queued,
-                      obs::HopOutcome::kLinkDown});
-    }
-    if (config_.drop_hook) {
-      config_.drop_hook(t, s.flow, packet, DropCause::kLinkDown);
-    }
+    lose(DropCause::kLinkDown, state.queued, obs::HopOutcome::kLinkDown);
     return;
   }
   if (state.queued >= link.queue_capacity) {
     // Tail drop: the egress FIFO is full.
     ++c.dropped;
-    ++fs.dropped;
     ++stat.tail_drops;
-    if (obs_.tail_drops != nullptr) {
-      obs_.tail_drops->add(1);
-      obs_.link_drops[ch]->add(1);
-      obs_.in_flight->sub(1);
-    }
-    if (flight != nullptr) {
-      flight->record({t, s.flow, packet, s.node, port, state.queued,
-                      obs::HopOutcome::kTailDrop});
-    }
-    if (config_.drop_hook) {
-      config_.drop_hook(t, s.flow, packet, DropCause::kTailDrop);
-    }
+    lose(DropCause::kTailDrop, state.queued, obs::HopOutcome::kTailDrop);
     return;
   }
   ++state.queued;
   stat.max_queue_depth = std::max(stat.max_queue_depth, state.queued);
-  const bool ecn =
-      link.ecn_threshold != 0 && state.queued >= link.ecn_threshold;
-  if (ecn) {
+  if (obs_.queue_depth != nullptr) obs_.queue_depth->record(state.queued);
+  if (link.ecn_threshold != 0 && state.queued >= link.ecn_threshold) {
     ++c.ecn_marked;
     ++stat.ecn_marks;
-    if (config_.ecn_hook) config_.ecn_hook(ch, state.queued, s.flow);
-  }
-  if (obs_.queue_depth != nullptr) {
-    obs_.queue_depth->record(state.queued);
-    obs_.link_depth[ch]->add(1);
-    if (ecn) {
-      obs_.ecn_marked->add(1);
-      obs_.link_ecn[ch]->add(1);
-    }
+    if (transport_ != nullptr) transport_->on_ecn(s.flow);
   }
   if (flight != nullptr) {
     flight->record({t, s.flow, packet, s.node, port, state.queued,
@@ -329,14 +322,16 @@ SimResult PacketSim::run() {
     // violation here means an engine scheduled into the past -- the
     // exact class of bug that silently breaks bit-identical replay.
     HP_CHECK(e.at >= now_, "PacketSim: event scheduled before now");
-    if (sampling) {
+    if (sampling && next_sample_ <= e.at) {
       // Sample every boundary at or before this event, *before*
       // processing it: each point is the state as of the boundary tick,
-      // pinned to event order, never wall clock.
-      while (next_sample_ <= e.at) {
+      // pinned to event order, never wall clock.  No event lies between
+      // these boundaries, so one gauge update serves them all.
+      publish_gauges();
+      do {
         config_.telemetry->sample(static_cast<double>(next_sample_) * 1e-9);
         next_sample_ += period;
-      }
+      } while (next_sample_ <= e.at);
     }
     now_ = e.at;
     switch (e.kind) {
@@ -347,27 +342,24 @@ SimResult PacketSim::run() {
         HP_DCHECK(channel_state_[e.arg].queued > 0,
                   "PacketSim: drain on an empty channel queue");
         --channel_state_[e.arg].queued;
-        if (obs_.queue_depth != nullptr) obs_.link_depth[e.arg]->sub(1);
         break;
       case kLinkDown:
-        link_up_[e.arg] = 0;
-        ++result_.counters.link_down_events;
-        if (obs_.link_events != nullptr) obs_.link_events->add(1);
-        break;
       case kLinkUp:
-        link_up_[e.arg] = 1;
-        if (obs_.link_events != nullptr) obs_.link_events->add(1);
+        link_up_[e.arg] = e.kind == kLinkUp ? 1 : 0;
+        ++result_.counters.link_events;
         break;
       case kTimer:
-        HP_DCHECK(static_cast<bool>(config_.timer_hook),
-                  "PacketSim: timer event with no timer_hook");
-        config_.timer_hook(e.at, e.arg);
+        HP_DCHECK(transport_ != nullptr,
+                  "PacketSim: timer event with no transport attached");
+        transport_->on_timer(e.at, e.arg);
         break;
       default:
         throw std::logic_error("PacketSim: unknown event kind");
     }
   }
   result_.counters.end_ns = now_;
+  publish_counters();
+  publish_gauges();
   return result_;
 }
 // HP_HOT_END(event_loop)

@@ -21,7 +21,7 @@
 //  * the channel's upstream side is a finite FIFO egress queue: a
 //    packet routed onto a busy channel waits behind the packets
 //    already committed; arriving at a full queue is a tail drop, and
-//    crossing `ecn_threshold` fires the ECN-mark hook;
+//    an enqueue at or above `ecn_threshold` is an ECN mark;
 //  * per-flow and per-link Stat accumulate delivery times (FCT),
 //    queue-depth high-water marks, drops/marks and busy time (link
 //    utilization).
@@ -30,9 +30,14 @@
 // (event_queue.hpp); processing is single-threaded and the tie order
 // is pinned, so a fixed input schedule produces a bit-identical
 // SimResult on every run.
+//
+// The engine owns its stats and calls its components directly: the
+// plain SimCounters / LinkStat / queue state are the only record (the
+// metric registry receives them at publish points, see SimConfig), and
+// a closed-loop Transport attached with attach() gets its feedback as
+// plain member calls.
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -50,6 +55,8 @@ class TelemetryBridge;
 }  // namespace hp::obs
 
 namespace hp::sim {
+
+class Transport;
 
 /// One directed channel: the timing constants of a router-to-router
 /// link plus the bounds of its upstream egress queue.
@@ -85,8 +92,6 @@ struct LinkStat {
 struct FlowStat {
   std::uint32_t packets = 0;    ///< injected so far
   std::uint32_t delivered = 0;
-  std::uint32_t dropped = 0;    ///< tail-dropped at some queue
-  std::uint32_t ttl_expired = 0;
   Tick first_inject = 0;
   Tick last_delivery = 0;
 
@@ -100,8 +105,8 @@ struct FlowStat {
   friend bool operator==(const FlowStat&, const FlowStat&) noexcept = default;
 };
 
-/// Why a packet left the simulation without being delivered.  The
-/// drop hook receives the cause so a transport can distinguish
+/// Why a packet left the simulation without being delivered.  An
+/// attached Transport receives the cause so it can distinguish
 /// congestion feedback (a tail drop is reported backwards, like a
 /// lossless-fabric NACK) from silent losses (a dead wire or a TTL kill
 /// gives the sender nothing -- only its retransmission timer notices).
@@ -114,36 +119,24 @@ enum class DropCause : std::uint32_t {
 /// Engine-wide knobs.
 struct SimConfig {
   std::size_t max_hops = 64;  ///< same hop cap as the replay walks
-  /// ECN-mark hook: called once per marked packet with (channel index,
-  /// queue depth after enqueue, flow handle of the marked packet).
-  /// Marks are counted either way; the hook is where the congestion
-  /// -control layer (sim/transport.hpp) or a test taps in.
-  std::function<void(std::uint32_t channel, std::uint32_t depth,
-                     std::uint32_t flow)>
-      ecn_hook;
-  /// Closed-loop feedback taps (see sim/transport.hpp).  All optional:
-  /// delivered_hook fires once per delivered packet, drop_hook once per
-  /// lost packet with its cause, timer_hook once per kTimer event
-  /// scheduled through schedule_timer().
-  std::function<void(Tick t, std::uint32_t flow, std::uint32_t packet)>
-      delivered_hook;
-  std::function<void(Tick t, std::uint32_t flow, std::uint32_t packet,
-                     DropCause cause)>
-      drop_hook;
-  std::function<void(Tick t, std::uint32_t arg)> timer_hook;
   /// Observability taps, all optional (borrowed; must outlive run()).
   /// With `metrics` set the engine registers sim.* counters, the
   /// sim.queue_depth histogram and one sim.link.NNNNN.queue_depth gauge
-  /// (plus .drops/.ecn counters) per channel.  Everything recorded
+  /// (plus .drops/.ecn counters) per channel at construction.  The
+  /// histogram is recorded per enqueue; everything else is published
+  /// from the engine's own state: counters add their delta since the
+  /// previous publish at the end of each run() (so phased runs and
+  /// registries shared across engines still sum), gauges are set at
+  /// every telemetry boundary and at the end of run().  Everything
   /// derives from simulated ticks and event order -- never wall clock
   /// -- so a fixed-seed run snapshots bit-identically.
   obs::MetricRegistry* metrics = nullptr;
   /// Hop-level ring for 1-in-N flows (see obs/flight_recorder.hpp).
   obs::FlightRecorder* recorder = nullptr;
   /// Sampled on simulated-tick boundaries: every `telemetry_period_ns`
-  /// the engine appends each registry gauge to the bridge's store at
-  /// t = tick * 1e-9 s, *before* processing any event at or past the
-  /// boundary.  0 disables sampling.
+  /// the engine sets its gauges and appends each registry gauge to the
+  /// bridge's store at t = tick * 1e-9 s, *before* processing any event
+  /// at or past the boundary.  0 disables sampling.
   obs::TelemetryBridge* telemetry = nullptr;
   Tick telemetry_period_ns = 0;
 };
@@ -154,7 +147,7 @@ struct SimCounters {
   std::size_t delivered = 0;
   std::size_t dropped = 0;        ///< tail + failover drops
   std::size_t failover_lost = 0;  ///< of `dropped`: arrivals at a dead link
-  std::size_t link_down_events = 0;  ///< kLinkDown events processed
+  std::size_t link_events = 0;    ///< link-down + link-up events processed
   std::size_t ttl_expired = 0;
   std::size_t wrong_egress = 0;   ///< delivery diverged from expectation
   std::size_t mod_operations = 0; ///< label folds == hops walked
@@ -214,36 +207,25 @@ class PacketSim {
   /// `at`, carrying `label` (or, when ref.label_count > 1, the pooled
   /// segment list `ref` names -- the first pooled label must equal
   /// `label`, exactly as in a PacketStream).  Returns the packet's
-  /// index (the handle delivered_hook / drop_hook report).  Safe to
-  /// call from inside a hook while run() drains, which is how the
-  /// transport layer injects retransmissions.  Throws
-  /// std::invalid_argument on a bad source, flow or ref.
+  /// index (the handle the attached Transport is called back with).
+  /// Safe to call while run() drains, which is how the transport
+  /// injects every send.  Throws std::invalid_argument on a bad
+  /// source, flow or ref.
   std::uint32_t inject(Tick at, polka::RouteLabel label, polka::SegmentRef ref,
                        std::uint32_t source, std::uint32_t flow);
 
-  /// Schedule a kTimer event at simulated time `at`; when it fires the
-  /// engine calls config.timer_hook(at, arg).  The queue never cancels:
-  /// stale timers are the hook owner's problem (the transport keeps an
-  /// arm generation per flow).  Throws std::logic_error when no
-  /// timer_hook is installed.
-  void schedule_timer(Tick at, std::uint32_t arg);
+  /// Attach the closed-loop transport (borrowed; must outlive run()).
+  /// From then on the engine calls it once per delivered packet, per
+  /// lost packet (with its cause), per ECN mark and per kTimer event.
+  /// Transport::arm() does this.
+  void attach(Transport& transport) noexcept { transport_ = &transport; }
 
-  /// Install / replace the closed-loop feedback hooks after
-  /// construction (the transport layer wires itself onto an already
-  /// -built engine).
-  void set_ecn_hook(
-      std::function<void(std::uint32_t, std::uint32_t, std::uint32_t)> hook) {
-    config_.ecn_hook = std::move(hook);
-  }
-  void set_feedback_hooks(
-      std::function<void(Tick, std::uint32_t, std::uint32_t)> delivered,
-      std::function<void(Tick, std::uint32_t, std::uint32_t, DropCause)>
-          dropped,
-      std::function<void(Tick, std::uint32_t)> timer) {
-    config_.delivered_hook = std::move(delivered);
-    config_.drop_hook = std::move(dropped);
-    config_.timer_hook = std::move(timer);
-  }
+  /// Schedule a kTimer event at simulated time `at`; when it fires the
+  /// engine calls the attached transport's on_timer(at, arg).  The
+  /// queue never cancels: stale timers are the transport's problem (it
+  /// keeps an arm generation per flow).  Throws std::logic_error when
+  /// no transport is attached.
+  void schedule_timer(Tick at, std::uint32_t arg);
 
   /// Schedule the directed channel to go down (up = false) or come
   /// back (up = true) at simulated time `at`.  While a channel is
@@ -278,7 +260,7 @@ class PacketSim {
   };
 
   /// Metric handles resolved once at construction (all null when
-  /// config_.metrics is null, so the disabled path costs one branch).
+  /// config_.metrics is null).
   struct ObsHandles {
     obs::Counter* injected = nullptr;
     obs::Counter* delivered = nullptr;
@@ -299,6 +281,10 @@ class PacketSim {
 
   void register_metrics();
   void handle_arrival(Tick t, std::uint32_t packet);
+  /// Set the gauges to the engine's current state.
+  void publish_gauges();
+  /// Add every counter's growth since the previous publish.
+  void publish_counters();
 
   const polka::CompiledFabric& fabric_;
   std::vector<Channel> channels_;
@@ -315,7 +301,10 @@ class PacketSim {
   Tick now_ = 0;
   Tick next_sample_ = 0;  ///< next telemetry-bridge tick boundary
   SimResult result_;
+  Transport* transport_ = nullptr;
   ObsHandles obs_;
+  SimCounters published_;                  ///< counters at the last publish
+  std::vector<LinkStat> published_links_;  ///< links at the last publish
 };
 
 }  // namespace hp::sim

@@ -104,7 +104,7 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   config.telemetry = want_bridge ? &*bridge : nullptr;
   config.telemetry_period_ns = options_.telemetry_period_ns;
   PacketSim sim(fast, std::move(channels), std::move(node_offset),
-                std::move(port_channel), std::move(config));
+                std::move(port_channel), config);
 
   phase.emplace(options_.trace, "sim.schedule", "sim");
 
@@ -385,16 +385,27 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     }
   }
   if (registry != nullptr) {
+    // All simulated-schedule derived, so they snapshot identically
+    // across runs and thread counts like every other sim.* metric.
     registry->counter("sim.flows").add(report.flows);
     registry->counter("sim.completed_flows").add(report.completed_flows);
     if (!options_.failures.empty() || options_.protection_k > 0) {
-      // All simulated-schedule derived, so they snapshot identically
-      // across runs and thread counts like every other sim.* metric.
       registry->counter("sim.failover.swaps").add(swapped_pairs);
       registry->counter("sim.failover.lazy_repairs").add(lazy_repairs);
       registry->counter("sim.failover.unroutable_pairs").add(unroutable_pairs);
       registry->counter("sim.failover.window_recompiles")
           .add(window_recompiles);
+    }
+    if (transport.has_value()) {
+      const TransportReport& tp = report.transport;
+      registry->counter("sim.tp.sent").add(tp.packets_sent);
+      registry->counter("sim.tp.retransmits").add(tp.retransmits);
+      registry->counter("sim.tp.timeouts").add(tp.timeouts);
+      registry->counter("sim.tp.ecn_cuts").add(tp.ecn_cwnd_cuts);
+      registry->counter("sim.tp.drop_cuts").add(tp.drop_cwnd_cuts);
+      registry->counter("sim.tp.spurious").add(tp.spurious_deliveries);
+      registry->counter("sim.tp.abandoned_flows").add(tp.abandoned_flows);
+      registry->counter("sim.tp.completed_flows").add(report.completed_flows);
     }
   }
   double util_sum = 0.0;

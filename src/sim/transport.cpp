@@ -29,14 +29,6 @@ Transport::Transport(PacketSim& sim, TransportOptions options,
   HP_CHECK(options_.max_retries >= 1,
            "TransportOptions: max_retries must be at least one");
   if (metrics != nullptr) {
-    obs_.sent = &metrics->counter("sim.tp.sent");
-    obs_.retransmits = &metrics->counter("sim.tp.retransmits");
-    obs_.timeouts = &metrics->counter("sim.tp.timeouts");
-    obs_.ecn_cuts = &metrics->counter("sim.tp.ecn_cuts");
-    obs_.drop_cuts = &metrics->counter("sim.tp.drop_cuts");
-    obs_.spurious = &metrics->counter("sim.tp.spurious");
-    obs_.abandoned = &metrics->counter("sim.tp.abandoned_flows");
-    obs_.completed = &metrics->counter("sim.tp.completed_flows");
     obs_.cwnd = &metrics->histogram("sim.tp.cwnd");
     obs_.rto_ns = &metrics->histogram("sim.tp.rto_ns");
   }
@@ -88,15 +80,7 @@ void Transport::arm() {
   HP_CHECK(!armed_, "Transport::arm called twice");
   armed_ = true;
   report_.enabled = true;
-  sim_.set_ecn_hook([this](std::uint32_t /*channel*/, std::uint32_t /*depth*/,
-                           std::uint32_t flow) { on_ecn(flow); });
-  sim_.set_feedback_hooks(
-      [this](Tick t, std::uint32_t flow, std::uint32_t packet) {
-        on_delivered(t, flow, packet);
-      },
-      [this](Tick t, std::uint32_t flow, std::uint32_t packet,
-             DropCause cause) { on_dropped(t, flow, packet, cause); },
-      [this](Tick t, std::uint32_t rec) { on_timer(t, rec); });
+  sim_.attach(*this);
   // Flow-open kicks: TimerRec id 0 is the open sentinel (RTO arms use
   // generations starting at 1), so a kick needs no validity check.
   for (std::uint32_t i = 0; i < flows_.size(); ++i) {
@@ -174,11 +158,7 @@ void Transport::send_seq(Flow& f, std::uint32_t flow_index, std::uint32_t seq,
   f.sent_at[seq] = at;
   f.last_packet[seq] = packet;
   ++report_.packets_sent;
-  if (obs_.sent != nullptr) obs_.sent->add(1);
-  if (f.tries[seq] > 1) {
-    ++report_.retransmits;
-    if (obs_.retransmits != nullptr) obs_.retransmits->add(1);
-  }
+  if (f.tries[seq] > 1) ++report_.retransmits;
   if (!f.timer_armed) arm_timer(f, flow_index, at + rto_current(f));
 }
 
@@ -201,7 +181,7 @@ void Transport::try_send(Flow& f, Tick t) {
       if (f.tries[seq] > options_.max_retries) {
         // Graceful degradation: this sequence burned its retry budget,
         // so the flow stops competing instead of retrying forever.
-        abandon(f, t);
+        abandon(f);
         return;
       }
     } else {
@@ -220,23 +200,15 @@ void Transport::cut_window(Flow& f, Tick t, bool ecn) {
   f.next_cut_at = t + (f.srtt_ns != 0 ? f.srtt_ns : options_.rto_min_ns);
   f.cwnd = std::max<std::uint32_t>(1, f.cwnd / 2);
   f.ack_credit = 0;
-  if (ecn) {
-    ++report_.ecn_cwnd_cuts;
-    if (obs_.ecn_cuts != nullptr) obs_.ecn_cuts->add(1);
-  } else {
-    ++report_.drop_cwnd_cuts;
-    if (obs_.drop_cuts != nullptr) obs_.drop_cuts->add(1);
-  }
+  ++(ecn ? report_.ecn_cwnd_cuts : report_.drop_cwnd_cuts);
   if (obs_.cwnd != nullptr) obs_.cwnd->record(f.cwnd);
 }
 
-void Transport::abandon(Flow& f, Tick t) {
-  (void)t;
+void Transport::abandon(Flow& f) {
   f.abandoned = true;
   f.lost.clear();
   disarm_timer(f);
   ++report_.abandoned_flows;
-  if (obs_.abandoned != nullptr) obs_.abandoned->add(1);
 }
 
 void Transport::on_ecn(std::uint32_t sim_flow) {
@@ -246,9 +218,7 @@ void Transport::on_ecn(std::uint32_t sim_flow) {
   cut_window(f, sim_.now(), /*ecn=*/true);
 }
 
-void Transport::on_delivered(Tick t, std::uint32_t sim_flow,
-                             std::uint32_t packet) {
-  (void)sim_flow;
+void Transport::on_delivered(Tick t, std::uint32_t packet) {
   if (packet >= tags_.size()) return;
   const PacketTag tag = tags_[packet];
   Flow& f = flows_[tag.flow];
@@ -256,7 +226,6 @@ void Transport::on_delivered(Tick t, std::uint32_t sim_flow,
   if (f.state[seq] == SeqState::kDelivered) {
     // A retransmitted copy of data that already arrived.
     ++report_.spurious_deliveries;
-    if (obs_.spurious != nullptr) obs_.spurious->add(1);
     return;
   }
   if (f.state[seq] == SeqState::kOutstanding) {
@@ -283,7 +252,6 @@ void Transport::on_delivered(Tick t, std::uint32_t sim_flow,
   }
   if (f.delivered == f.total) {
     ++completed_;
-    if (obs_.completed != nullptr) obs_.completed->add(1);
     disarm_timer(f);
     return;
   }
@@ -293,9 +261,7 @@ void Transport::on_delivered(Tick t, std::uint32_t sim_flow,
   try_send(f, t);
 }
 
-void Transport::on_dropped(Tick t, std::uint32_t sim_flow,
-                           std::uint32_t packet, DropCause cause) {
-  (void)sim_flow;
+void Transport::on_dropped(Tick t, std::uint32_t packet, DropCause cause) {
   if (cause != DropCause::kTailDrop) {
     // A dead wire or a TTL kill gives the sender nothing to observe;
     // only the retransmission timer recovers these.
@@ -329,7 +295,6 @@ void Transport::on_timer(Tick t, std::uint32_t rec_index) {
   ++f.timeouts;
   f.timeout_at.push_back(t);
   ++report_.timeouts;
-  if (obs_.timeouts != nullptr) obs_.timeouts->add(1);
   if (f.backoff < 63) ++f.backoff;  // exponential backoff (rto_max caps it)
   if (obs_.rto_ns != nullptr) obs_.rto_ns->record(rto_current(f));
   // Go-back-N: every outstanding sequence is presumed lost, oldest

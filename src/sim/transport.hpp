@@ -10,8 +10,8 @@
 //  * an AIMD congestion window -- at most `cwnd` packets outstanding;
 //    one additive increase per delivered window, multiplicative
 //    decrease (halving, floored at 1) on congestion feedback;
-//  * ECN reaction -- the engine's ecn_hook fires when an enqueue
-//    crosses a channel's mark threshold, and the transport halves the
+//  * ECN reaction -- the engine calls on_ecn when an enqueue crosses
+//    a channel's mark threshold, and the transport halves the
 //    marked flow's window (at most one cut per RTT-estimate window, so
 //    a burst of marks is one signal, not a collapse to 1);
 //  * retransmit-on-drop -- a tail drop is reported back to the sender
@@ -39,8 +39,9 @@
 // instead of merely counted.
 //
 // Everything the transport does is a pure function of event order:
-// state changes happen inside hook callbacks and timer events on the
-// single-threaded simulation clock, so a fixed seed produces a
+// state changes happen inside the engine's direct calls (delivery,
+// loss, ECN mark, timer) on the single-threaded simulation clock, so a
+// fixed seed produces a
 // bit-identical report across runs and thread counts, failure schedules
 // included.
 
@@ -52,7 +53,6 @@
 #include "sim/packet_sim.hpp"
 
 namespace hp::obs {
-class Counter;
 class Histogram;
 class MetricRegistry;
 }  // namespace hp::obs
@@ -107,13 +107,14 @@ struct RouteEpoch {
 
 /// The per-flow sender state machine.  Construct over a wired
 /// PacketSim, describe lanes (route-epoch timelines) and flows, then
-/// arm() once before PacketSim::run(): arming installs the engine's
-/// feedback hooks and schedules every flow's opening timer, after which
-/// the whole closed loop plays out inside the event queue.
+/// arm() once before PacketSim::run(): arming attaches the transport to
+/// the engine and schedules every flow's opening timer, after which
+/// the whole closed loop plays out inside the event queue.  Counters
+/// live in report(); the runner publishes them as sim.tp.*.
 class Transport {
  public:
   /// `sim` is borrowed and must outlive the Transport; `metrics` (may
-  /// be null) receives the sim.tp.* counters and histograms.
+  /// be null) receives the sim.tp.cwnd and sim.tp.rto_ns histograms.
   /// `packet_bytes` prices offered/goodput bytes.
   Transport(PacketSim& sim, TransportOptions options,
             std::uint64_t packet_bytes, obs::MetricRegistry* metrics);
@@ -130,9 +131,9 @@ class Transport {
   std::uint32_t add_flow(std::uint32_t lane, std::uint32_t source, Tick start,
                          Tick pace_ns, std::uint32_t packets);
 
-  /// Install the PacketSim feedback hooks and schedule every flow's
-  /// opening event.  Call exactly once, after the last add_flow and
-  /// before PacketSim::run().
+  /// Attach to the PacketSim and schedule every flow's opening event.
+  /// Call exactly once, after the last add_flow and before
+  /// PacketSim::run().
   void arm();
 
   [[nodiscard]] const TransportReport& report() const noexcept {
@@ -162,6 +163,8 @@ class Transport {
   [[nodiscard]] std::vector<Tick> completed_fct_ns() const;
 
  private:
+  friend class PacketSim;  // calls the on_* feedback below
+
   /// Lifecycle of one logical sequence number.
   enum class SeqState : std::uint8_t {
     kPending,      ///< never sent
@@ -227,17 +230,16 @@ class Transport {
     std::uint32_t seq = 0;
   };
 
-  // engine callbacks (installed by arm())
+  // engine feedback: PacketSim calls these once arm() attached us
   void on_ecn(std::uint32_t sim_flow);
-  void on_delivered(Tick t, std::uint32_t sim_flow, std::uint32_t packet);
-  void on_dropped(Tick t, std::uint32_t sim_flow, std::uint32_t packet,
-                  DropCause cause);
+  void on_delivered(Tick t, std::uint32_t packet);
+  void on_dropped(Tick t, std::uint32_t packet, DropCause cause);
   void on_timer(Tick t, std::uint32_t rec_index);
 
   void try_send(Flow& f, Tick t);
   void send_seq(Flow& f, std::uint32_t flow_index, std::uint32_t seq, Tick t);
   void cut_window(Flow& f, Tick t, bool ecn);
-  void abandon(Flow& f, Tick t);
+  void abandon(Flow& f);
   void arm_timer(Flow& f, std::uint32_t flow_index, Tick at);
   void disarm_timer(Flow& f);
   [[nodiscard]] Tick rto_base(const Flow& f) const;
@@ -261,17 +263,9 @@ class Transport {
   std::size_t completed_ = 0;
   bool armed_ = false;
 
-  /// Metric handles, all null without a registry (one-branch disabled
-  /// path, same pattern as PacketSim::ObsHandles).
+  /// Histogram handles, null without a registry.  They have no plain
+  /// twin in report(), so they are recorded in place.
   struct ObsHandles {
-    obs::Counter* sent = nullptr;
-    obs::Counter* retransmits = nullptr;
-    obs::Counter* timeouts = nullptr;
-    obs::Counter* ecn_cuts = nullptr;
-    obs::Counter* drop_cuts = nullptr;
-    obs::Counter* spurious = nullptr;
-    obs::Counter* abandoned = nullptr;
-    obs::Counter* completed = nullptr;
     obs::Histogram* cwnd = nullptr;
     obs::Histogram* rto_ns = nullptr;
   };

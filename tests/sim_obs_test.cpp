@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -120,8 +124,8 @@ TEST(SimObservability, FailoverSnapshotBitIdenticalAcrossRunsAndThreads) {
     inject.count = 2;
     options.failures = scenario::make_failure_schedule(
         scenario::build_topology(spec), inject);
-    sim::SimReport report = sim::run_sim_scenario(spec, options);
-    report.forwarding.seconds = 0.0;  // the one wall-clock field
+    // Compared whole: forwarding.seconds is simulated time in the sim.
+    const sim::SimReport report = sim::run_sim_scenario(spec, options);
     return std::make_pair(deterministic_view(registry.snapshot()), report);
   };
 
@@ -138,6 +142,127 @@ TEST(SimObservability, FailoverSnapshotBitIdenticalAcrossRunsAndThreads) {
   EXPECT_EQ(first_snap, threaded_snap)
       << "compile threading leaked into failover metrics";
   EXPECT_EQ(first_report, threaded_report);
+}
+
+/// torus4x4/hotspot closed-loop under a seeded flap schedule with one
+/// pre-installed backup per pair: retransmits, timeouts, ECN cuts and
+/// dead-wire losses all happen in one run.
+sim::SimOptions closed_flap_options(const scenario::ScenarioSpec& spec) {
+  sim::SimOptions options;
+  options.transport.enabled = true;
+  options.protection_k = 1;
+  scenario::FailureInjectorParams inject;
+  inject.preset = scenario::FailurePreset::kFlap;
+  inject.seed = 7;
+  inject.count = 2;
+  options.failures = scenario::make_failure_schedule(
+      scenario::build_topology(spec), inject);
+  return options;
+}
+
+/// Sum of the per-link counters whose names end in `suffix`.
+std::uint64_t sum_links(const obs::MetricsSnapshot& snap,
+                        std::string_view suffix) {
+  std::uint64_t total = 0;
+  for (const obs::MetricValue& m : snap.entries) {
+    if (m.name.starts_with("sim.link.") && m.name.ends_with(suffix)) {
+      total += m.counter;
+    }
+  }
+  return total;
+}
+
+TEST(SimObservability, ClosedLoopFailoverCountersAgreeWithReport) {
+  const scenario::ScenarioSpec spec = small_spec("torus4x4/hotspot");
+  obs::MetricRegistry registry;
+  sim::SimOptions options = closed_flap_options(spec);
+  options.metrics = &registry;
+  const sim::SimReport report = sim::run_sim_scenario(spec, options);
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  const sim::TransportReport& tp = report.transport;
+
+  // The run exercises every path the counters below cover.
+  EXPECT_GT(tp.retransmits, 0u);
+  EXPECT_GT(tp.timeouts, 0u);
+  EXPECT_GT(report.forwarding.failover_packets_lost, 0u);
+  EXPECT_GT(report.ecn_marked, 0u);
+
+  EXPECT_EQ(snap.counter_or("sim.tp.sent"), tp.packets_sent);
+  EXPECT_EQ(snap.counter_or("sim.tp.retransmits"), tp.retransmits);
+  EXPECT_EQ(snap.counter_or("sim.tp.timeouts"), tp.timeouts);
+  EXPECT_EQ(snap.counter_or("sim.tp.ecn_cuts"), tp.ecn_cwnd_cuts);
+  EXPECT_EQ(snap.counter_or("sim.tp.drop_cuts"), tp.drop_cwnd_cuts);
+  EXPECT_EQ(snap.counter_or("sim.tp.spurious"), tp.spurious_deliveries);
+  EXPECT_EQ(snap.counter_or("sim.tp.abandoned_flows"), tp.abandoned_flows);
+  EXPECT_EQ(snap.counter_or("sim.tp.completed_flows"),
+            report.completed_flows);
+  EXPECT_EQ(snap.counter_or("sim.failover.packets_lost"),
+            report.forwarding.failover_packets_lost);
+  EXPECT_EQ(snap.counter_or("sim.tail_drops"),
+            report.forwarding.dropped_packets -
+                report.forwarding.failover_packets_lost);
+  EXPECT_EQ(sum_links(snap, ".drops"), report.forwarding.dropped_packets);
+  EXPECT_EQ(sum_links(snap, ".ecn"), report.ecn_marked);
+  EXPECT_EQ(snap.counter_or("sim.injected"), tp.packets_sent);
+}
+
+/// FNV-1a over raw bytes, chained through `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+struct Observed {
+  std::uint64_t snapshot_hash = 0;  ///< of obs::to_json(deterministic view)
+  std::uint64_t series_hash = 0;    ///< of every (name, t_s, value) point
+  std::size_t points = 0;
+};
+
+Observed observe(const scenario::ScenarioSpec& spec, sim::SimOptions options) {
+  obs::MetricRegistry registry;
+  hp::telemetry::TimeSeriesStore store;
+  options.metrics = &registry;
+  options.telemetry = &store;
+  (void)sim::run_sim_scenario(spec, options);
+  Observed out;
+  const std::string json =
+      obs::to_json(deterministic_view(registry.snapshot()));
+  out.snapshot_hash = fnv1a(kFnvBasis, json.data(), json.size());
+  out.series_hash = kFnvBasis;
+  for (const std::string& name : store.series_names()) {
+    out.series_hash = fnv1a(out.series_hash, name.data(), name.size() + 1);
+    for (const hp::telemetry::Point& p : store.range(name, 0.0, 1e18)) {
+      const auto t = std::bit_cast<std::uint64_t>(p.t_s);
+      const auto v = std::bit_cast<std::uint64_t>(p.value);
+      out.series_hash = fnv1a(out.series_hash, &t, sizeof(t));
+      out.series_hash = fnv1a(out.series_hash, &v, sizeof(v));
+      ++out.points;
+    }
+  }
+  return out;
+}
+
+// The regression oracle for the engine's metric publication: the full
+// deterministic registry view and every telemetry series of an open-loop
+// and a closed-loop failover run, pinned by hash.  A refactor of how the
+// engine feeds the registry must leave both untouched.
+TEST(SimObservability, GoldenSnapshotAndSeries) {
+  const scenario::ScenarioSpec spec = small_spec("torus4x4/hotspot");
+
+  const Observed open = observe(spec, sim::SimOptions{});
+  EXPECT_EQ(open.snapshot_hash, 0xfb86b6ab4ae53899ull);
+  EXPECT_EQ(open.series_hash, 0x9d8b01920b673b80ull);
+  EXPECT_EQ(open.points, 24895u);
+
+  const Observed closed = observe(spec, closed_flap_options(spec));
+  EXPECT_EQ(closed.snapshot_hash, 0xb3788f3babc3db3bull);
+  EXPECT_EQ(closed.series_hash, 0xc64dca60479df66cull);
+  EXPECT_EQ(closed.points, 136760u);
 }
 
 TEST(SimObservability, FlightRecorderIsDeterministic) {
@@ -199,6 +324,23 @@ TEST(SimObservability, TelemetryBridgeWritesDeterministicSeries) {
   // Gauge series: the global in-flight level plus one depth per link.
   EXPECT_TRUE(store.has_series("sim.in_flight"));
   EXPECT_TRUE(store.has_series("sim.link.00000.queue_depth"));
+  // The samples carry live mid-run state, not only the drained end.
+  double max_in_flight = 0.0;
+  for (const hp::telemetry::Point& p :
+       store.range("sim.in_flight", 0.0, 1e18)) {
+    max_in_flight = std::max(max_in_flight, p.value);
+  }
+  EXPECT_GT(max_in_flight, 0.0);
+  double max_depth = 0.0;
+  const double capacity = sim::SimOptions{}.queue_capacity;
+  for (const std::string& name : names) {
+    if (!name.ends_with(".queue_depth")) continue;
+    for (const hp::telemetry::Point& p : store.range(name, 0.0, 1e18)) {
+      EXPECT_LE(p.value, capacity) << name;
+      max_depth = std::max(max_depth, p.value);
+    }
+  }
+  EXPECT_GT(max_depth, 0.0);
 
   hp::telemetry::TimeSeriesStore again = sample();
   ASSERT_EQ(again.series_names(), names);

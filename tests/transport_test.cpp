@@ -3,7 +3,8 @@
 //    rto_max cap, and max-retries abandonment (graceful degradation);
 //  - delivery semantics on a healthy wire: the flow completes with no
 //    retransmissions and full goodput;
-//  - option validation (HP_CHECK contract violations);
+//  - option validation (HP_CHECK contract violations), and timers
+//    need an attached transport;
 //  - determinism through SimRunner: fixed seed => bit-identical
 //    SimReport across runs and compile_threads, with retransmits and a
 //    flap failure schedule active, and the liveness invariant
@@ -170,6 +171,18 @@ TEST(Transport, HealthyWireCompletesWithoutRetransmission) {
   EXPECT_EQ(report.timeouts, 0u);
   EXPECT_EQ(report.goodput_bytes, 8 * kPacketBytes);
   EXPECT_EQ(report.goodput_bytes, report.offered_bytes);
+  EXPECT_EQ(tp.completed_flows(), 1u);
+}
+
+TEST(Transport, ScheduleTimerNeedsAnAttachedTransport) {
+  Rig rig(/*wire_down=*/false);
+  EXPECT_THROW(rig.sim->schedule_timer(0, 0), std::logic_error);
+  sim::Transport tp(*rig.sim, sim::TransportOptions{}, kPacketBytes, nullptr);
+  const std::uint32_t lane = tp.add_lane({rig.epoch});
+  (void)tp.add_flow(lane, rig.source, /*start=*/0, /*pace_ns=*/100,
+                    /*packets=*/1);
+  tp.arm();  // attaches, then schedules the flow-open timer
+  (void)rig.sim->run();
   EXPECT_EQ(tp.completed_flows(), 1u);
 }
 
