@@ -196,8 +196,9 @@ std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
 // remains happens in the calls it makes: inject() appends one packet
 // per send (open-loop runs inject everything before the clock starts,
 // but every closed-loop send is an in-loop inject()), the transport's
-// on_* bookkeeping and first-growth of EventQueue::push, which re-uses
-// its heap's capacity afterwards.
+// on_* bookkeeping (its tag and timer tables and timeout log, pooled
+// and amortized) and first-growth of the EventQueue heap, which holds
+// only in-flight events and re-uses its capacity afterwards.
 void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
   HP_DCHECK(packet < packets_.size(), "PacketSim: arrival for unknown packet");
   PacketState& s = packets_[packet];

@@ -26,10 +26,11 @@
 //    queue-depth high-water marks, drops/marks and busy time (link
 //    utilization).
 //
-// Time is integer nanoseconds on a binary-heap EventQueue
-// (event_queue.hpp); processing is single-threaded and the tie order
-// is pinned, so a fixed input schedule produces a bit-identical
-// SimResult on every run.
+// Time is integer nanoseconds on an EventQueue (event_queue.hpp): a
+// sorted backlog of everything scheduled before run() merged with a
+// binary heap of what the loop schedules itself.  Processing is
+// single-threaded and the tie order is pinned, so a fixed input
+// schedule produces a bit-identical SimResult on every run.
 //
 // The engine owns its stats and calls its components directly: the
 // plain SimCounters / LinkStat / queue state are the only record (the

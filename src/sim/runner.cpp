@@ -118,7 +118,8 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   // unprotected run offer the exact same load.
   const Tick src_gap =
       serialize_ns(options_.packet_bytes, options_.source_rate_mbps);
-  std::vector<Tick> inject_at(stream.size(), 0);
+  // Only the open-loop pass 2 reads the per-packet ticks back.
+  std::vector<Tick> inject_at(options_.transport.enabled ? 0 : stream.size());
   Tick last_inject = 0;
   // The same flow boundaries, recorded for the closed-loop branch: the
   // transport opens one sender per pass-1 flow (same start tick, same
@@ -148,8 +149,8 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
         c = Cadence{0, start, flow_defs.size()};
         flow_defs.push_back({lane, stream.pairs[lane].ingress, start, 0});
       }
-      inject_at[i] = c.next_inject;
-      last_inject = std::max(last_inject, inject_at[i]);
+      if (!inject_at.empty()) inject_at[i] = c.next_inject;
+      last_inject = std::max(last_inject, c.next_inject);
       ++c.injected;
       c.next_inject += src_gap;
       ++flow_defs[c.def].packets;

@@ -58,20 +58,26 @@ std::uint32_t Transport::add_flow(std::uint32_t lane, std::uint32_t source,
   if (packets == 0) {
     throw std::invalid_argument("Transport::add_flow: empty flow");
   }
+  HP_CHECK(state_.size() + packets < kNone,
+           "Transport::add_flow: sequence pools exceed 32-bit indexing");
   Flow f;
   f.lane = lane;
   f.source = source;
   f.start = start;
   f.pace_ns = pace_ns;
   f.total = packets;
+  f.first = static_cast<std::uint32_t>(state_.size());
+  f.first_epoch = static_cast<std::uint32_t>(sim_flow_.size());
   f.cwnd = options_.init_cwnd;
   f.next_send = start;
-  f.state.assign(packets, SeqState::kPending);
-  f.tries.assign(packets, 0);
-  f.sent_at.assign(packets, 0);
-  f.last_packet.assign(packets, kNone);
-  f.sim_flow.assign(lanes_[lane].size(), kNone);
-  flows_.push_back(std::move(f));
+  const std::size_t end = state_.size() + packets;
+  state_.resize(end, SeqState::kPending);
+  tries_.resize(end, 0);
+  sent_at_.resize(end, 0);
+  last_packet_.resize(end, kNone);
+  lost_ring_.resize(end, 0);
+  sim_flow_.resize(sim_flow_.size() + lanes_[lane].size(), kNone);
+  flows_.push_back(f);
   report_.offered_bytes += packet_bytes_ * packets;
   return static_cast<std::uint32_t>(flows_.size() - 1);
 }
@@ -116,13 +122,27 @@ const RouteEpoch& Transport::epoch_at(const Flow& f, Tick at,
 }
 
 std::uint32_t Transport::ensure_sim_flow(Flow& f, std::size_t epoch_index) {
-  std::uint32_t& handle = f.sim_flow[epoch_index];
+  std::uint32_t& handle = sim_flow_[f.first_epoch + epoch_index];
   if (handle == kNone) {
     handle = sim_.add_flow(lanes_[f.lane][epoch_index].expected);
     if (handle >= flow_of_.size()) flow_of_.resize(handle + 1, kNone);
     flow_of_[handle] = static_cast<std::uint32_t>(&f - flows_.data());
   }
   return handle;
+}
+
+void Transport::push_lost(Flow& f, std::uint32_t seq) {
+  HP_DCHECK(f.lost_count < f.total, "Transport: retransmit ring overflow");
+  lost_ring_[f.first + (f.lost_head + f.lost_count) % f.total] = seq;
+  ++f.lost_count;
+}
+
+std::uint32_t Transport::pop_lost(Flow& f) {
+  HP_DCHECK(f.lost_count > 0, "Transport: pop from an empty retransmit ring");
+  const std::uint32_t seq = lost_ring_[f.first + f.lost_head];
+  f.lost_head = f.lost_head + 1 == f.total ? 0 : f.lost_head + 1;
+  --f.lost_count;
+  return seq;
 }
 
 void Transport::arm_timer(Flow& f, std::uint32_t flow_index, Tick at) {
@@ -152,13 +172,14 @@ void Transport::send_seq(Flow& f, std::uint32_t flow_index, std::uint32_t seq,
     f.sent_any = true;
     f.first_send = at;
   }
-  f.state[seq] = SeqState::kOutstanding;
+  const std::uint32_t slot = f.first + seq;
+  state_[slot] = SeqState::kOutstanding;
   ++f.outstanding;
-  ++f.tries[seq];
-  f.sent_at[seq] = at;
-  f.last_packet[seq] = packet;
+  ++tries_[slot];
+  sent_at_[slot] = at;
+  last_packet_[slot] = packet;
   ++report_.packets_sent;
-  if (f.tries[seq] > 1) ++report_.retransmits;
+  if (tries_[slot] > 1) ++report_.retransmits;
   if (!f.timer_armed) arm_timer(f, flow_index, at + rto_current(f));
 }
 
@@ -166,19 +187,20 @@ void Transport::try_send(Flow& f, Tick t) {
   const auto flow_index = static_cast<std::uint32_t>(&f - flows_.data());
   while (!f.abandoned && f.outstanding < f.cwnd) {
     // Skip entries whose sequence a stale copy meanwhile delivered.
-    while (!f.lost.empty() && f.state[f.lost.front()] != SeqState::kLost) {
-      f.lost.pop_front();
+    while (f.lost_count > 0 &&
+           state_[f.first + lost_ring_[f.first + f.lost_head]] !=
+               SeqState::kLost) {
+      (void)pop_lost(f);
     }
     std::uint32_t seq = kNone;
-    if (!f.lost.empty()) {
+    if (f.lost_count > 0) {
       // Retransmissions go ahead of new data (sending fresh sequences
       // past known losses would just feed the same congested queue),
       // rate-limited to one loss-triggered resend per RTT window --
       // see Flow::next_fast_rtx.  The armed RTO covers the wait.
       if (t < f.next_fast_rtx) return;
-      seq = f.lost.front();
-      f.lost.pop_front();
-      if (f.tries[seq] > options_.max_retries) {
+      seq = pop_lost(f);
+      if (tries_[f.first + seq] > options_.max_retries) {
         // Graceful degradation: this sequence burned its retry budget,
         // so the flow stops competing instead of retrying forever.
         abandon(f);
@@ -189,7 +211,7 @@ void Transport::try_send(Flow& f, Tick t) {
       seq = f.next_seq++;
     }
     send_seq(f, flow_index, seq, t);
-    if (f.tries[seq] > 1) f.next_fast_rtx = t + rto_base(f);
+    if (tries_[f.first + seq] > 1) f.next_fast_rtx = t + rto_base(f);
   }
 }
 
@@ -206,7 +228,7 @@ void Transport::cut_window(Flow& f, Tick t, bool ecn) {
 
 void Transport::abandon(Flow& f) {
   f.abandoned = true;
-  f.lost.clear();
+  f.lost_count = 0;
   disarm_timer(f);
   ++report_.abandoned_flows;
 }
@@ -222,22 +244,22 @@ void Transport::on_delivered(Tick t, std::uint32_t packet) {
   if (packet >= tags_.size()) return;
   const PacketTag tag = tags_[packet];
   Flow& f = flows_[tag.flow];
-  const std::uint32_t seq = tag.seq;
-  if (f.state[seq] == SeqState::kDelivered) {
+  const std::uint32_t slot = f.first + tag.seq;
+  if (state_[slot] == SeqState::kDelivered) {
     // A retransmitted copy of data that already arrived.
     ++report_.spurious_deliveries;
     return;
   }
-  if (f.state[seq] == SeqState::kOutstanding) {
+  if (state_[slot] == SeqState::kOutstanding) {
     --f.outstanding;
-    if (f.last_packet[seq] == packet) {
+    if (last_packet_[slot] == packet) {
       // RTT sample from the live copy only; a stale copy's age says
       // nothing about the current path.
-      const Tick sample = t - f.sent_at[seq];
+      const Tick sample = t - sent_at_[slot];
       f.srtt_ns = f.srtt_ns == 0 ? sample : (7 * f.srtt_ns + sample) / 8;
     }
   }
-  f.state[seq] = SeqState::kDelivered;
+  state_[slot] = SeqState::kDelivered;
   ++f.delivered;
   f.last_delivery = std::max(f.last_delivery, t);
   report_.goodput_bytes += packet_bytes_;
@@ -270,13 +292,13 @@ void Transport::on_dropped(Tick t, std::uint32_t packet, DropCause cause) {
   if (packet >= tags_.size()) return;
   const PacketTag tag = tags_[packet];
   Flow& f = flows_[tag.flow];
-  const std::uint32_t seq = tag.seq;
+  const std::uint32_t slot = f.first + tag.seq;
   if (f.abandoned) return;
-  if (f.last_packet[seq] != packet) return;  // stale copy; live one governs
-  if (f.state[seq] != SeqState::kOutstanding) return;
-  f.state[seq] = SeqState::kLost;
+  if (last_packet_[slot] != packet) return;  // stale copy; live one governs
+  if (state_[slot] != SeqState::kOutstanding) return;
+  state_[slot] = SeqState::kLost;
   --f.outstanding;
-  f.lost.push_back(seq);
+  push_lost(f, tag.seq);
   cut_window(f, t, /*ecn=*/false);
   try_send(f, t);
 }
@@ -293,17 +315,17 @@ void Transport::on_timer(Tick t, std::uint32_t rec_index) {
   f.timer_armed = false;
   if (done(f)) return;
   ++f.timeouts;
-  f.timeout_at.push_back(t);
+  timeout_log_.push_back({rec.flow, t});
   ++report_.timeouts;
   if (f.backoff < 63) ++f.backoff;  // exponential backoff (rto_max caps it)
   if (obs_.rto_ns != nullptr) obs_.rto_ns->record(rto_current(f));
   // Go-back-N: every outstanding sequence is presumed lost, oldest
   // first, and the window collapses to one packet.
   for (std::uint32_t seq = 0; seq < f.total && f.outstanding > 0; ++seq) {
-    if (f.state[seq] == SeqState::kOutstanding) {
-      f.state[seq] = SeqState::kLost;
+    if (state_[f.first + seq] == SeqState::kOutstanding) {
+      state_[f.first + seq] = SeqState::kLost;
       --f.outstanding;
-      f.lost.push_back(seq);
+      push_lost(f, seq);
     }
   }
   f.cwnd = 1;
@@ -326,7 +348,10 @@ Transport::FlowView Transport::flow_view(std::uint32_t flow) const {
   view.abandoned = f.abandoned;
   view.completed = !f.abandoned && f.delivered == f.total;
   view.fct_ns = view.completed ? f.last_delivery - f.first_send : 0;
-  view.timeout_at = f.timeout_at;
+  view.timeout_at.reserve(f.timeouts);
+  for (const TimeoutRec& rec : timeout_log_) {
+    if (rec.flow == flow) view.timeout_at.push_back(rec.at);
+  }
   return view;
 }
 

@@ -46,7 +46,7 @@
 // included.
 
 #include <cstdint>
-#include <deque>
+#include <type_traits>
 #include <vector>
 
 #include "polka/label.hpp"
@@ -173,6 +173,10 @@ class Transport {
     kDelivered,    ///< first copy arrived
   };
 
+  /// One flow's scalar state.  Its per-sequence records, retransmit
+  /// ring and per-epoch sim flow handles live in the Transport's pooled
+  /// arrays (at `first + seq` and `first_epoch + epoch`), so a Flow owns
+  /// no heap block and growing `flows_` is a memcpy.
   struct Flow {
     // immutable shape
     std::uint32_t lane = 0;
@@ -180,6 +184,8 @@ class Transport {
     Tick start = 0;
     Tick pace_ns = 1;
     std::uint32_t total = 0;
+    std::uint32_t first = 0;        ///< offset of sequence 0 in the seq pools
+    std::uint32_t first_epoch = 0;  ///< offset of epoch 0 in sim_flow_
 
     // window state
     std::uint32_t cwnd = 1;
@@ -205,18 +211,22 @@ class Transport {
     std::uint64_t timer_id = 0;  ///< arm generation; stale fires no-op
     bool timer_armed = false;
     std::uint32_t timeouts = 0;
-    std::vector<Tick> timeout_at;
 
-    // per-sequence bookkeeping
-    std::vector<SeqState> state;         ///< size total
-    std::vector<std::uint32_t> tries;    ///< transmissions so far
-    std::vector<Tick> sent_at;           ///< latest transmission tick
-    std::vector<std::uint32_t> last_packet;  ///< latest sim packet index
-    std::deque<std::uint32_t> lost;      ///< retransmit queue (may go stale)
+    /// Retransmit queue (may go stale): a ring of capacity `total` at
+    /// lost_ring_[first ..).  A sequence enters only from kOutstanding
+    /// and returns to kOutstanding only by being popped, so the ring
+    /// holds each sequence at most once and never overflows.
+    std::uint32_t lost_head = 0;
+    std::uint32_t lost_count = 0;
+  };
+  // A container member would make growth of flows_ copy every flow
+  // (libstdc++'s deque is not nothrow-movable); keep Flow flat.
+  static_assert(std::is_trivially_copyable_v<Flow>);
 
-    /// Sim flow handle per lane epoch, created lazily (a flow whose
-    /// route never changes registers exactly one).
-    std::vector<std::uint32_t> sim_flow;
+  /// One RTO expiry, in firing order (FlowView::timeout_at filters it).
+  struct TimeoutRec {
+    std::uint32_t flow = 0;
+    Tick at = 0;
   };
 
   /// One armed timer occurrence; kTimer events carry an index here.
@@ -247,6 +257,8 @@ class Transport {
   [[nodiscard]] const RouteEpoch& epoch_at(const Flow& f, Tick at,
                                            std::size_t* index) const;
   std::uint32_t ensure_sim_flow(Flow& f, std::size_t epoch_index);
+  void push_lost(Flow& f, std::uint32_t seq);
+  std::uint32_t pop_lost(Flow& f);
   [[nodiscard]] bool done(const Flow& f) const noexcept {
     return f.abandoned || f.delivered == f.total;
   }
@@ -256,6 +268,17 @@ class Transport {
   std::uint64_t packet_bytes_;
   std::vector<std::vector<RouteEpoch>> lanes_;
   std::vector<Flow> flows_;
+  // per-sequence pools, indexed by Flow::first + seq
+  std::vector<SeqState> state_;
+  std::vector<std::uint32_t> tries_;     ///< transmissions so far
+  std::vector<Tick> sent_at_;            ///< latest transmission tick
+  std::vector<std::uint32_t> last_packet_;  ///< latest sim packet index
+  std::vector<std::uint32_t> lost_ring_;    ///< per-flow retransmit rings
+  /// Sim flow handle per lane epoch, indexed by Flow::first_epoch +
+  /// epoch and created lazily (a flow whose route never changes
+  /// registers exactly one).
+  std::vector<std::uint32_t> sim_flow_;
+  std::vector<TimeoutRec> timeout_log_;
   std::vector<TimerRec> timers_;
   std::vector<PacketTag> tags_;          ///< sim packet index -> (flow, seq)
   std::vector<std::uint32_t> flow_of_;   ///< sim flow handle -> flow index

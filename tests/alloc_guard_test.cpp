@@ -7,6 +7,9 @@
 //  * replay_shards allocates per *call* (shard partials + batch
 //    buffers), never per *packet*: replaying 10x the packets costs
 //    exactly the same number of allocations.
+//  * a closed-loop SimRunner::run keeps its per-flow transport state in
+//    pooled arrays: 4x the flows costs a few more geometric vector
+//    growths, not a heap block per flow.
 //
 // The interposer counts every operator-new entry; tests snapshot the
 // counter around the call under test and assert on the delta, so
@@ -24,7 +27,11 @@
 #include "polka/fastpath.hpp"
 #include "polka/forwarding.hpp"
 #include "polka/label.hpp"
+#include "scenario/fabric_builder.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
+#include "scenario/traffic.hpp"
+#include "sim/runner.hpp"
 
 namespace {
 
@@ -194,6 +201,48 @@ TEST(AllocGuard, ReplayAllocationsIndependentOfPacketCount) {
   EXPECT_EQ(small, large)
       << "replay_shards allocation count scales with packet count -- the "
          "replay_slice hot loop is allocating per packet";
+}
+
+TEST(AllocGuard, ClosedLoopSimAllocationsIndependentOfFlowCount) {
+  const scenario::ScenarioSpec* base =
+      scenario::find_scenario("torus4x4/hotspot");
+  ASSERT_NE(base, nullptr);
+  scenario::ScenarioSpec spec = *base;
+  spec.traffic.packets = 4096;
+  spec.traffic.max_pairs = 64;
+  spec.traffic.seed = 5;
+  scenario::BuiltFabric fabric(scenario::build_topology(spec));
+  fabric.compile_all_pairs(1);
+  const scenario::PacketStream stream =
+      scenario::generate_traffic(fabric, spec.traffic);
+
+  // The same packets cut into flows of 32 or of 4: only the flow count
+  // (and the closed-loop dynamics it drives) changes between the runs.
+  const auto run = [&](std::size_t flow_packets, std::size_t* flows) {
+    sim::SimOptions options;
+    options.flow_packets = flow_packets;
+    options.flow_gap_ns = 10'000;
+    options.transport.enabled = true;
+    const std::uint64_t before = alloc_count();
+    const sim::SimReport report = sim::SimRunner(options).run(fabric, stream);
+    const std::uint64_t delta = alloc_count() - before;
+    EXPECT_EQ(report.completed_flows + report.transport.abandoned_flows,
+              report.flows);
+    *flows = report.flows;
+    return delta;
+  };
+
+  std::size_t few = 0;
+  std::size_t many = 0;
+  const std::uint64_t small = run(32, &few);
+  const std::uint64_t large = run(4, &many);
+  ASSERT_GE(many, 4 * few) << "the flow count must actually grow";
+  // A heap block per flow would add hundreds here (one per extra flow
+  // at least); pooled state adds only a few geometric growths.
+  EXPECT_LE(large, small + 64)
+      << "closed-loop SimRunner::run allocations scale with the flow count "
+         "(" << few << " flows: " << small << ", " << many
+      << " flows: " << large << ")";
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
-// Event-driven packet-level simulator tests: event-queue ordering,
-// every registry scenario family producing congestion metrics through
-// SimRunner, bit-identical determinism across runs and thread counts,
-// waypoint parity on segmented routes, and the single-link saturation
-// sanity check (offered load >> capacity => queue at cap, drops,
-// utilization ~= 1).
+// Event-driven packet-level simulator tests: event-queue ordering
+// (plus a differential check of the backlog + heap tiers against one
+// reference heap), every registry scenario family producing congestion
+// metrics through SimRunner, bit-identical determinism across runs and
+// thread counts, waypoint parity on segmented routes, and the
+// single-link saturation sanity check (offered load >> capacity =>
+// queue at cap, drops, utilization ~= 1).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <queue>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -41,6 +45,65 @@ TEST(EventQueue, PopsInTimeOrderWithFifoTies) {
   }
   EXPECT_EQ(times, (std::vector<sim::Tick>{10, 10, 10, 20, 30}));
   EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 3, 4, 2, 0}));
+}
+
+TEST(EventQueue, TwoTierMatchesSingleHeapOnSeededScripts) {
+  // Reference: one std::priority_queue on (at, seq) -- the order the
+  // backlog + heap merge must reproduce exactly, ties included.
+  struct Later {
+    bool operator()(const sim::Event& a, const sim::Event& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const auto draw = [&](std::uint64_t n) { return rng() % n; };
+    sim::EventQueue q;
+    std::priority_queue<sim::Event, std::vector<sim::Event>, Later> ref;
+    std::uint64_t seq = 0;
+    std::uint32_t arg = 0;
+    const auto push = [&](sim::Tick at) {
+      const auto kind = static_cast<std::uint32_t>(draw(4));
+      q.push(at, kind, arg);
+      ref.push(sim::Event{at, seq++, kind, arg++});
+    };
+    sim::Tick now = 0;
+    std::size_t pushed_in_drain = 0;
+    // Several batches: each is pushed while the queue is idle, then
+    // drained to empty (the phased-run() shape).
+    for (int batch = 0; batch < 4; ++batch) {
+      // Tie-heavy ticks in a narrow window; batch 3 arrives in sorted
+      // order.
+      const std::size_t idle_pushes = 1 + draw(200);
+      for (std::size_t i = 0; i < idle_pushes; ++i) {
+        push(batch == 3 ? now + i / 4 : now + draw(32));
+      }
+      while (!q.empty()) {
+        ASSERT_EQ(q.size(), ref.size());
+        ASSERT_EQ(q.top().seq, ref.top().seq);
+        const sim::Event got = q.pop();
+        const sim::Event want = ref.top();
+        ref.pop();
+        ASSERT_EQ(got.at, want.at);
+        ASSERT_EQ(got.seq, want.seq);
+        ASSERT_EQ(got.kind, want.kind);
+        ASSERT_EQ(got.arg, want.arg);
+        now = got.at;
+        // Pushes during the drain land on the current tick, just after
+        // it, or far past it: before, on and after the backlog cursor.
+        const std::uint64_t fanout = draw(3);
+        for (std::uint64_t k = 0; k < fanout && seq < 20'000; ++k) {
+          const sim::Tick delta =
+              draw(4) == 0 ? 0 : (draw(2) == 0 ? draw(4) : draw(64));
+          push(now + delta);
+          ++pushed_in_drain;
+        }
+      }
+      EXPECT_TRUE(ref.empty());
+    }
+    EXPECT_GT(pushed_in_drain, 0u);
+  }
 }
 
 /// A small per-family spec: the registry's topology at a stream size
