@@ -1,6 +1,7 @@
 #pragma once
-// Two-tier event queue with integer timestamps: a sorted pre-run
-// backlog plus a binary heap.
+// Monotone event queue with integer timestamps: a radix heap on `at`
+// (Ahuja, Mehlhorn, Orlin & Tarjan, "Faster algorithms for the
+// shortest path problem", J. ACM 1990).
 //
 // The discrete-event data plane (src/sim/packet_sim.hpp) advances by
 // popping the earliest pending event; simulated time is a plain
@@ -10,25 +11,27 @@
 // (a kind tag and one 32-bit argument); the engine owns all state and
 // interprets the payload, keeping the entries 24 bytes.
 //
-// Most events of a run are known before the clock starts: open-loop
-// injections, flow-open kicks, link-state changes.  Pushing them all
-// into the heap would make every in-loop push and pop pay O(log n) on
-// the whole preloaded stream.  Instead, pushes made while the queue is
-// idle (before the first pop, or after it fully drained) append to a
-// plain backlog vector; the first pop sorts it once and then reads it
-// through a cursor.  Pushes made while draining -- the events the loop
-// itself schedules -- go to the heap, which therefore holds only
-// in-flight work.  pop() takes the smaller (at, seq) of the backlog
-// cursor and the heap top.  Both tiers are stamped from one sequence
-// counter, so the popped order is exactly the total (at, seq) order a
-// single heap would produce.  Both vectors keep their capacity across
-// drains, so a phased run re-uses the storage of the previous phase.
+// Simulated time never rewinds, so the queue only has to be monotone:
+// no push lands before `last_`, the tick of the most recent refill
+// (the last popped tick).  Bucket b > 0 holds the events whose highest
+// bit differing from `last_` is bit b-1; bucket 0 holds the events at
+// exactly `last_` and is read through a head cursor.  When bucket 0
+// runs dry, refill() takes the first non-empty bucket, raises `last_`
+// to its minimum tick and re-files its events into the lower buckets,
+// all empty at that point.  Each event moves down at most 64 times,
+// and pushes and pops are a vector append and a cursor step.
 //
-// Same-time events fire in push order: every push stamps a strictly
-// increasing sequence number that breaks timestamp ties, the property
-// the determinism tests pin down.
+// Same-time events fire in push order without a comparator: every
+// push stamps a strictly increasing sequence number and appends, and a
+// refill copies an ordered bucket into empty ones, so every bucket
+// stays in `seq` order and the popped sequence is exactly the total
+// (at, seq) order -- the property the determinism tests pin down.
+// All bucket vectors keep their capacity, so a long or phased run
+// re-uses the storage of its first pending peak.
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -49,96 +52,71 @@ struct Event {
   std::uint32_t arg = 0;
 };
 
-// Entries stay 24 bytes (tick + seq + packed payload) so both tiers are
-// three words per event and sift operations stay memcpy-cheap.
+// Entries stay 24 bytes (tick + seq + packed payload): three words per
+// event for every append and re-file.
 HP_ASSERT_HOT_POD(Event, 24);
 
-/// Min-queue of events ordered by (at, seq).
-///
-/// A sorted backlog of the events pushed while idle, merged on the fly
-/// with a std::push_heap/std::pop_heap binary heap of the events pushed
-/// while draining -- O(log k) push/pop in the k in-flight events, no
-/// node allocations.
+/// Monotone min-queue of events ordered by (at, seq).
 class EventQueue {
  public:
-  /// Schedule `kind(arg)` at absolute time `at` (>= the caller's
-  /// current time by convention; the queue itself does not check).
+  /// Schedule `kind(arg)` at absolute time `at`.  A push before the
+  /// queue's floor -- the last popped tick, or the tick top() last
+  /// returned -- is a contract violation (always checked): it would be
+  /// filed in the wrong bucket and silently break the order.
   void push(Tick at, std::uint32_t kind, std::uint32_t arg) {
-    const Event e{at, next_seq_++, kind, arg};
-    if (draining_) {
-      heap_.push_back(e);
-      std::push_heap(heap_.begin(), heap_.end(), After{});
-    } else {
-      backlog_.push_back(e);
-    }
+    HP_CHECK(at >= last_, "EventQueue: push scheduled before the last pop");
+    buckets_[bucket_of(at)].push_back(Event{at, next_seq_++, kind, arg});
+    ++size_;
   }
 
-  [[nodiscard]] bool empty() const noexcept {
-    return cursor_ == backlog_.size() && heap_.empty();
-  }
-  [[nodiscard]] std::size_t size() const noexcept {
-    return backlog_.size() - cursor_ + heap_.size();
-  }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  /// The earliest pending event.  Calling on an empty queue is a
-  /// contract violation (checked in debug builds).
+  /// The earliest pending event.  Refills, so it raises the floor that
+  /// push() checks to this event's tick.  Calling on an empty queue is
+  /// a contract violation (checked in debug builds).
   [[nodiscard]] const Event& top() {
     HP_DCHECK(!empty(), "EventQueue::top on an empty queue");
-    settle();
-    return from_backlog() ? backlog_[cursor_] : heap_.front();
+    refill();
+    return buckets_[0][head_];
   }
 
   /// Remove and return the earliest pending event.
   Event pop() {
     HP_DCHECK(!empty(), "EventQueue::pop on an empty queue");
-    settle();
-    Event e;
-    if (from_backlog()) {
-      e = backlog_[cursor_++];
-    } else {
-      std::pop_heap(heap_.begin(), heap_.end(), After{});
-      e = heap_.back();
-      heap_.pop_back();
-    }
-    if (empty()) {  // fully drained: the next pushes start a new backlog
-      backlog_.clear();
-      cursor_ = 0;
-      draining_ = false;
-    }
-    return e;
+    refill();
+    --size_;
+    return buckets_[0][head_++];
   }
 
  private:
-  /// "a fires after b": the std::*_heap comparator producing a min-heap
-  /// on (at, seq).
-  struct After {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// Leave the idle state: sort the backlog and route later pushes to
-  /// the heap.
-  void settle() {
-    if (draining_) return;
-    std::sort(backlog_.begin(), backlog_.end(),
-              [](const Event& a, const Event& b) noexcept {
-                return After{}(b, a);
-              });
-    draining_ = true;
+  [[nodiscard]] std::size_t bucket_of(Tick at) const noexcept {
+    return static_cast<std::size_t>(std::bit_width(at ^ last_));
   }
 
-  /// Whether the backlog cursor precedes the heap top (settled only).
-  [[nodiscard]] bool from_backlog() const noexcept {
-    if (cursor_ == backlog_.size()) return false;
-    return heap_.empty() || After{}(heap_.front(), backlog_[cursor_]);
+  /// Make buckets_[0][head_] the earliest pending event (non-empty
+  /// queue only).
+  void refill() {
+    std::vector<Event>& front = buckets_[0];
+    if (head_ < front.size()) return;
+    front.clear();
+    head_ = 0;
+    std::size_t b = 1;
+    while (buckets_[b].empty()) ++b;
+    std::vector<Event>& from = buckets_[b];
+    last_ = std::min_element(from.begin(), from.end(),
+                             [](const Event& x, const Event& y) noexcept {
+                               return x.at < y.at;
+                             })
+                ->at;
+    for (const Event& e : from) buckets_[bucket_of(e.at)].push_back(e);
+    from.clear();
   }
 
-  std::vector<Event> backlog_;  ///< idle pushes, sorted on settle
-  std::size_t cursor_ = 0;      ///< next unpopped backlog entry
-  std::vector<Event> heap_;     ///< pushes made while draining
-  bool draining_ = false;
+  std::array<std::vector<Event>, 65> buckets_;
+  std::size_t head_ = 0;  ///< next unpopped entry of buckets_[0]
+  std::size_t size_ = 0;
+  Tick last_ = 0;  ///< floor: every pending event is at or after it
   std::uint64_t next_seq_ = 0;
 };
 

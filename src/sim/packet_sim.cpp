@@ -177,13 +177,14 @@ std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
   p.node = source;
   p.flow = flow;
   const auto index = static_cast<std::uint32_t>(packets_.size());
+  // Pushed first: a tick before now() throws here, leaving no trace.
+  queue_.push(at, kArrive, index);
   packets_.push_back(p);
   FlowStat& fs = result_.flows[flow];
   if (fs.packets == 0 || at < fs.first_inject) fs.first_inject = at;
   ++fs.packets;
   ++result_.counters.injected;
   if (ref.label_count > 1) ++result_.counters.segmented_packets;
-  queue_.push(at, kArrive, index);
   return index;
 }
 
@@ -197,8 +198,8 @@ std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
 // per send (open-loop runs inject everything before the clock starts,
 // but every closed-loop send is an in-loop inject()), the transport's
 // on_* bookkeeping (its tag and timer tables and timeout log, pooled
-// and amortized) and first-growth of the EventQueue heap, which holds
-// only in-flight events and re-uses its capacity afterwards.
+// and amortized) and first-growth of the EventQueue's bucket vectors,
+// which re-use their capacity afterwards.
 void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
   HP_DCHECK(packet < packets_.size(), "PacketSim: arrival for unknown packet");
   PacketState& s = packets_[packet];
@@ -318,11 +319,11 @@ SimResult PacketSim::run() {
   // keeps one monotonic series.
   if (sampling && next_sample_ == 0) next_sample_ = period;
   while (!queue_.empty()) {
+    // Simulated time never rewinds: the queue pops in (at, seq) order
+    // and its push() rejects a tick before the last pop, so scheduling
+    // into the past -- the exact class of bug that silently breaks
+    // bit-identical replay -- throws at the call that does it.
     const Event e = queue_.pop();
-    // Simulated time never rewinds: the heap orders by (at, seq), so a
-    // violation here means an engine scheduled into the past -- the
-    // exact class of bug that silently breaks bit-identical replay.
-    HP_CHECK(e.at >= now_, "PacketSim: event scheduled before now");
     if (sampling && next_sample_ <= e.at) {
       // Sample every boundary at or before this event, *before*
       // processing it: each point is the state as of the boundary tick,

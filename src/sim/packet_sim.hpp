@@ -27,10 +27,10 @@
 //    utilization).
 //
 // Time is integer nanoseconds on an EventQueue (event_queue.hpp): a
-// sorted backlog of everything scheduled before run() merged with a
-// binary heap of what the loop schedules itself.  Processing is
-// single-threaded and the tie order is pinned, so a fixed input
-// schedule produces a bit-identical SimResult on every run.
+// monotone radix heap on the event tick that pops ties in push order.
+// Processing is single-threaded and the tie order is pinned, so a
+// fixed input schedule produces a bit-identical SimResult on every
+// run.
 //
 // The engine owns its stats and calls its components directly: the
 // plain SimCounters / LinkStat / queue state are the only record (the
@@ -172,7 +172,9 @@ struct SimResult {
 /// The event-driven engine.  Wire it (channels + the per-port channel
 /// map), register flows, inject packets, then run() to drain the event
 /// queue.  `fabric` and the pooled segment arrays are borrowed and must
-/// outlive run().
+/// outlive run().  Time never rewinds: inject(), schedule_timer() and
+/// schedule_link_state() at a tick before now() throw
+/// core::ContractViolation (the event queue's push check).
 class PacketSim {
  public:
   /// Marks a fabric port with no channel behind it (an egress port).

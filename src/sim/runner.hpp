@@ -21,7 +21,7 @@
 // (hotspot incast, elephant collisions), a generous gap drains them
 // one by one.
 //
-// Simulation is single-threaded by design: one event heap, one total
+// Simulation is single-threaded by design: one event queue, one total
 // event order, bit-identical reports for a fixed seed regardless of
 // how many threads the surrounding process uses (the determinism
 // tests pin this, including against `compile_threads`).

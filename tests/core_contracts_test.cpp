@@ -5,11 +5,15 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/contracts.hpp"
+#include "netsim/topology.hpp"
+#include "scenario/fabric_builder.hpp"
 #include "scenario/protection.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/packet_sim.hpp"
 
 namespace hp {
 namespace {
@@ -71,6 +75,57 @@ TEST(Contracts, BackupInstallRejectsUnroutableRoutes) {
   ok.path = {0, 1};
   EXPECT_NO_THROW(table.install(7, {ok}));
   EXPECT_EQ(table.pair_count(), 1u);
+}
+
+// Always on, Release included: a push before the queue's floor would
+// be filed in the wrong radix bucket and silently reorder events.
+TEST(Contracts, EventQueueRejectsPushIntoThePast) {
+  sim::EventQueue q;
+  q.push(10, 0, 0);
+  EXPECT_EQ(q.pop().at, 10u);
+  EXPECT_THROW(q.push(9, 0, 1), core::ContractViolation);
+  EXPECT_TRUE(q.empty());
+  EXPECT_NO_THROW(q.push(10, 0, 2));  // the floor tick itself is fine
+
+  // top() refills, which raises the floor to the earliest pending tick.
+  sim::EventQueue r;
+  r.push(20, 0, 0);
+  r.push(30, 0, 1);
+  EXPECT_EQ(r.top().at, 20u);
+  EXPECT_THROW(r.push(15, 0, 2), core::ContractViolation);
+  EXPECT_EQ(r.size(), 2u);
+  EXPECT_NO_THROW(r.push(20, 0, 3));
+  EXPECT_EQ(r.pop().arg, 0u);
+  EXPECT_EQ(r.pop().arg, 3u);
+  EXPECT_EQ(r.pop().arg, 1u);
+}
+
+TEST(Contracts, PacketSimRejectsInjectBeforeNow) {
+  netsim::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  topo.add_duplex_link(a, b, /*capacity_mbps=*/100.0, /*delay_ms=*/0.01);
+  const scenario::BuiltFabric fabric(std::move(topo));
+  const polka::CompiledFabric& fast = fabric.compiled();
+  const std::size_t n = fast.node_count();
+  // No channels: every port is an egress, so a packet delivers at once.
+  std::vector<std::uint32_t> node_offset(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    node_offset[i + 1] = node_offset[i] + fast.port_count(i);
+  }
+  std::vector<std::uint32_t> port_channel(node_offset[n],
+                                          sim::PacketSim::kNoChannel);
+  sim::PacketSim ps(fast, {}, std::move(node_offset), std::move(port_channel));
+  const std::uint32_t flow = ps.add_flow(polka::PacketResult{});
+  ps.inject(10, polka::RouteLabel{1}, polka::SegmentRef{}, 0, flow);
+  ASSERT_EQ(ps.run().counters.injected, 1u);
+  ASSERT_EQ(ps.now(), 10u);
+  EXPECT_THROW(ps.inject(9, polka::RouteLabel{1}, polka::SegmentRef{}, 0, flow),
+               core::ContractViolation);
+  // The rejected packet left no trace; one at now() is still accepted.
+  EXPECT_NO_THROW(
+      ps.inject(10, polka::RouteLabel{1}, polka::SegmentRef{}, 0, flow));
+  EXPECT_EQ(ps.run().counters.injected, 2u);
 }
 
 #if !defined(NDEBUG) || defined(HP_FORCE_DCHECKS)

@@ -1,6 +1,6 @@
 // Event-driven packet-level simulator tests: event-queue ordering
-// (plus a differential check of the backlog + heap tiers against one
-// reference heap), every registry scenario family producing congestion
+// (plus differential checks of the radix heap against one reference
+// binary heap), every registry scenario family producing congestion
 // metrics through SimRunner, bit-identical determinism across runs and
 // thread counts, waypoint parity on segmented routes, and the
 // single-link saturation sanity check (offered load >> capacity =>
@@ -103,6 +103,78 @@ TEST(EventQueue, TwoTierMatchesSingleHeapOnSeededScripts) {
       EXPECT_TRUE(ref.empty());
     }
     EXPECT_GT(pushed_in_drain, 0u);
+  }
+}
+
+TEST(EventQueue, RadixMatchesReferenceOnWideTickRanges) {
+  // Reference: one std::priority_queue on (at, seq).  The scripts span
+  // every radix bucket: deltas log-uniform over 2^0..2^40, tie bursts
+  // on the current tick, a pre-run batch of >= 10^4 events, drains to
+  // empty between batches, and one script whose ticks cross 2^63 so
+  // bucket 64 (top bit differs from the floor) holds events.
+  struct Later {
+    bool operator()(const sim::Event& a, const sim::Event& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  struct Script {
+    std::uint64_t seed;
+    sim::Tick start;
+  };
+  constexpr sim::Tick kTopBit = sim::Tick{1} << 63;
+  for (const Script& script :
+       {Script{11, 0}, Script{12, 0}, Script{13, 1'000'000},
+        Script{14, kTopBit - (sim::Tick{1} << 30)}}) {
+    SCOPED_TRACE("seed " + std::to_string(script.seed));
+    std::mt19937_64 rng(script.seed);
+    const auto draw = [&](std::uint64_t n) { return rng() % n; };
+    // Uniform bit length 0..40, then uniform below it.
+    const auto log_delta = [&]() -> sim::Tick {
+      const auto bits = static_cast<int>(draw(41));
+      return bits == 0 ? 0 : rng() >> (64 - bits);
+    };
+    sim::EventQueue q;
+    std::priority_queue<sim::Event, std::vector<sim::Event>, Later> ref;
+    std::uint64_t seq = 0;
+    std::uint32_t arg = 0;
+    const auto push = [&](sim::Tick at) {
+      const auto kind = static_cast<std::uint32_t>(draw(4));
+      q.push(at, kind, arg);
+      ref.push(sim::Event{at, seq++, kind, arg++});
+    };
+    sim::Tick now = script.start;
+    std::size_t tie_bursts = 0;
+    bool popped_top_half = false;
+    for (int batch = 0; batch < 3; ++batch) {
+      const std::size_t idle = batch == 0 ? 10'000 + draw(1'000) : draw(500);
+      for (std::size_t i = 0; i < idle; ++i) push(now + log_delta());
+      while (!q.empty()) {
+        ASSERT_EQ(q.size(), ref.size());
+        ASSERT_EQ(q.top().at, ref.top().at);
+        ASSERT_EQ(q.top().seq, ref.top().seq);
+        const sim::Event got = q.pop();
+        const sim::Event want = ref.top();
+        ref.pop();
+        ASSERT_EQ(got.at, want.at);
+        ASSERT_EQ(got.seq, want.seq);
+        ASSERT_EQ(got.kind, want.kind);
+        ASSERT_EQ(got.arg, want.arg);
+        now = got.at;
+        popped_top_half = popped_top_half || now >= kTopBit;
+        if (seq >= 40'000) continue;
+        if (draw(8) == 0) {
+          const std::uint64_t burst = 2 + draw(8);
+          for (std::uint64_t k = 0; k < burst; ++k) push(now);
+          ++tie_bursts;
+        } else {
+          const std::uint64_t fanout = draw(3);
+          for (std::uint64_t k = 0; k < fanout; ++k) push(now + log_delta());
+        }
+      }
+      EXPECT_TRUE(ref.empty());
+    }
+    EXPECT_GT(tie_bursts, 0u);
+    EXPECT_EQ(popped_top_half, script.start >= kTopBit / 2);
   }
 }
 
