@@ -354,7 +354,8 @@ void write_snapshot(JsonWriter& json, const MetricsSnapshot& snapshot) {
         json.begin_object();
         for (std::size_t b = 0; b < h.buckets.size(); ++b) {
           if (h.buckets[b] == 0) continue;
-          char name[16];
+          // "b" + the 20 digits of the largest size_t + NUL.
+          char name[22];
           std::snprintf(name, sizeof(name), "b%zu", b);
           json.key(name);
           json.value(h.buckets[b]);

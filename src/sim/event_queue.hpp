@@ -21,11 +21,16 @@
 // all empty at that point.  Each event moves down at most 64 times,
 // and pushes and pops are a vector append and a cursor step.
 //
-// Same-time events fire in push order without a comparator: every
-// push stamps a strictly increasing sequence number and appends, and a
-// refill copies an ordered bucket into empty ones, so every bucket
-// stays in `seq` order and the popped sequence is exactly the total
-// (at, seq) order -- the property the determinism tests pin down.
+// Same-time events fire in (at, seq) order -- the property the
+// determinism tests pin down.  Every push stamps a strictly increasing
+// sequence number and appends.  take_seq() hands out the next number
+// without pushing: the engine orders something it tracks itself (a
+// channel departure) or schedules later (a deferred timer) exactly
+// where a push at that moment would have.  push_deferred() files an
+// event under such an earlier number, so a bucket may fall out of
+// `seq` order; it must land strictly after the floor, and refill()
+// restores the order of the one bucket that is popped from, bucket 0
+// (a single tick), when it finds it unsorted.
 // All bucket vectors keep their capacity, so a long or phased run
 // re-uses the storage of its first pending peak.
 
@@ -44,10 +49,10 @@ using Tick = std::uint64_t;
 
 /// One scheduled occurrence.  `kind` and `arg` are interpreted by the
 /// engine that pushed the event (e.g. packet arrival at a node vs a
-/// channel queue drain).
+/// transport timer).
 struct Event {
   Tick at = 0;            ///< absolute simulated time
-  std::uint64_t seq = 0;  ///< push order; breaks same-tick ties FIFO
+  std::uint64_t seq = 0;  ///< order stamp; breaks same-tick ties
   std::uint32_t kind = 0;
   std::uint32_t arg = 0;
 };
@@ -56,16 +61,43 @@ struct Event {
 // event for every append and re-file.
 HP_ASSERT_HOT_POD(Event, 24);
 
+/// A place in the queue's total (at, seq) order, kept by an engine for
+/// something it tracks without a pending event (see take_seq()).
+struct EventKey {
+  Tick at = 0;
+  std::uint64_t seq = 0;
+  friend auto operator<=>(const EventKey&, const EventKey&) = default;
+};
+
 /// Monotone min-queue of events ordered by (at, seq).
 class EventQueue {
  public:
   /// Schedule `kind(arg)` at absolute time `at`.  A push before the
   /// queue's floor -- the last popped tick, or the tick top() last
   /// returned -- is a contract violation (always checked): it would be
-  /// filed in the wrong bucket and silently break the order.
-  void push(Tick at, std::uint32_t kind, std::uint32_t arg) {
+  /// filed in the wrong bucket and silently break the order.  Returns
+  /// the sequence number the event was stamped with.
+  std::uint64_t push(Tick at, std::uint32_t kind, std::uint32_t arg) {
     HP_CHECK(at >= last_, "EventQueue: push scheduled before the last pop");
-    buckets_[bucket_of(at)].push_back(Event{at, next_seq_++, kind, arg});
+    const std::uint64_t seq = next_seq_++;
+    buckets_[bucket_of(at)].push_back(Event{at, seq, kind, arg});
+    ++size_;
+    return seq;
+  }
+
+  /// Take the sequence number the next push would stamp, without
+  /// pushing.  Same-tick order treats it as a push made now.
+  std::uint64_t take_seq() noexcept { return next_seq_++; }
+
+  /// Schedule `kind(arg)` at `at` under `seq`, a number take_seq()
+  /// handed out earlier.  `at` must be strictly after the floor
+  /// (always checked): the floor tick's events are already being
+  /// popped, and one filed among them late would break their order.
+  void push_deferred(Tick at, std::uint64_t seq, std::uint32_t kind,
+                     std::uint32_t arg) {
+    HP_CHECK(at > last_, "EventQueue: deferred push at or before the floor");
+    HP_DCHECK(seq < next_seq_, "EventQueue: deferred push of an untaken seq");
+    buckets_[bucket_of(at)].push_back(Event{at, seq, kind, arg});
     ++size_;
   }
 
@@ -111,6 +143,13 @@ class EventQueue {
                 ->at;
     for (const Event& e : from) buckets_[bucket_of(e.at)].push_back(e);
     from.clear();
+    // Deferred pushes append out of seq order; bucket 0 is one tick.
+    const auto by_seq = [](const Event& x, const Event& y) noexcept {
+      return x.seq < y.seq;
+    };
+    if (!std::ranges::is_sorted(front, by_seq)) {
+      std::ranges::sort(front, by_seq);
+    }
   }
 
   std::array<std::vector<Event>, 65> buckets_;

@@ -16,12 +16,13 @@ namespace {
 
 /// Event kinds on the engine's queue.
 enum EventKind : std::uint32_t {
-  kArrive = 0,    ///< arg = packet index; packet reaches its state's node
-  kDrain = 1,     ///< arg = channel index; one serialization finished
-  kLinkDown = 2,  ///< arg = channel index; the wire disappears
-  kLinkUp = 3,    ///< arg = channel index; the wire comes back
-  kTimer = 4,     ///< arg = opaque cookie handed to Transport::on_timer
+  kArrive = 0,    ///< arg = packet slot; packet reaches its state's node
+  kLinkDown = 1,  ///< arg = channel index; the wire disappears
+  kLinkUp = 2,    ///< arg = channel index; the wire comes back
+  kTimer = 3,     ///< arg = opaque cookie handed to Transport::on_timer
 };
+
+constexpr Tick kEndOfTime = ~Tick{0};
 
 }  // namespace
 
@@ -54,6 +55,16 @@ PacketSim::PacketSim(const polka::CompiledFabric& fabric,
   result_.links.assign(channels_.size(), LinkStat{});
   published_links_ = result_.links;
   channel_state_.assign(channels_.size(), ChannelState{});
+  std::size_t rings = 0;
+  for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
+    channel_state_[ch].ring = static_cast<std::uint32_t>(rings);
+    rings += channels_[ch].queue_capacity;
+    if (rings >= kNoSlot) {
+      throw std::invalid_argument(
+          "PacketSim: channel queue capacities exceed 32-bit indexing");
+    }
+  }
+  departures_.assign(rings, EventKey{});
   link_up_.assign(channels_.size(), 1);
   register_metrics();
 }
@@ -144,11 +155,16 @@ std::uint32_t PacketSim::add_flow(const polka::PacketResult& expected) {
   return static_cast<std::uint32_t>(flow_expected_.size() - 1);
 }
 
-void PacketSim::schedule_timer(Tick at, std::uint32_t arg) {
+std::uint64_t PacketSim::schedule_timer(Tick at, std::uint32_t arg) {
   if (transport_ == nullptr) {
     throw std::logic_error("PacketSim::schedule_timer: no transport attached");
   }
-  queue_.push(at, kTimer, arg);
+  return queue_.push(at, kTimer, arg);
+}
+
+void PacketSim::schedule_deferred_timer(Tick at, std::uint64_t seq,
+                                        std::uint32_t arg) {
+  queue_.push_deferred(at, seq, kTimer, arg);
 }
 
 std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
@@ -176,10 +192,19 @@ std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
   p.ref = ref;
   p.node = source;
   p.flow = flow;
-  const auto index = static_cast<std::uint32_t>(packets_.size());
+  p.id = static_cast<std::uint32_t>(result_.counters.injected);
+  const bool reuse = free_slot_ != kNoSlot;
+  const auto index =
+      reuse ? free_slot_ : static_cast<std::uint32_t>(packets_.size());
   // Pushed first: a tick before now() throws here, leaving no trace.
   queue_.push(at, kArrive, index);
-  packets_.push_back(p);
+  if (reuse) {
+    free_slot_ = packets_[index].node;
+    packets_[index] = p;
+  } else {
+    HP_CHECK(index != kNoSlot, "PacketSim: packets in flight exceed 32 bits");
+    packets_.push_back(p);
+  }
   FlowStat& fs = result_.flows[flow];
   if (fs.packets == 0 || at < fs.first_inject) fs.first_inject = at;
   ++fs.packets;
@@ -188,19 +213,35 @@ std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
   return index;
 }
 
+void PacketSim::release(std::uint32_t packet) noexcept {
+  packets_[packet].node = free_slot_;
+  free_slot_ = packet;
+}
+
 // HP_HOT_BEGIN(event_loop)
 // The discrete-event inner loop: every hop is a fold, a wiring lookup
-// and O(1) queue/state updates on storage sized at wiring time.  The
-// loop's own code must stay growth-free (lint rule hot-path-purity) or
-// event-rate throughput becomes allocator-bound; the only registry
-// call per hop is the sim.queue_depth histogram record.  Growth that
-// remains happens in the calls it makes: inject() appends one packet
-// per send (open-loop runs inject everything before the clock starts,
-// but every closed-loop send is an in-loop inject()), the transport's
-// on_* bookkeeping (its tag and timer tables and timeout log, pooled
-// and amortized) and first-growth of the EventQueue's bucket vectors,
-// which re-use their capacity afterwards.
-void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
+// and O(1) queue/state updates on storage sized at wiring time (the
+// channel rings included).  The loop's own code must stay growth-free
+// (lint rule hot-path-purity) or event-rate throughput becomes
+// allocator-bound; the only registry call per hop is the
+// sim.queue_depth histogram record.  Growth that remains happens in the
+// calls it makes, and each is bounded by what is in flight, not by
+// what was sent: inject() takes a recycled slot and grows packets_
+// only at a new in-flight peak; the transport's on_* bookkeeping grows
+// its tag table with the slots and appends to its timeout log; the
+// EventQueue's bucket vectors grow to their first pending peak and
+// re-use that capacity afterwards.
+void PacketSim::retire(std::uint32_t ch, EventKey now) {
+  ChannelState& state = channel_state_[ch];
+  const std::uint32_t capacity = channels_[ch].queue_capacity;
+  while (state.queued > 0 && departures_[state.ring + state.head] < now) {
+    state.head = state.head + 1 == capacity ? 0 : state.head + 1;
+    --state.queued;
+  }
+}
+
+void PacketSim::handle_arrival(Tick t, std::uint64_t seq,
+                               std::uint32_t packet) {
   HP_DCHECK(packet < packets_.size(), "PacketSim: arrival for unknown packet");
   PacketState& s = packets_[packet];
   HP_DCHECK(s.node < fabric_.node_count(),
@@ -235,18 +276,21 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     const polka::PacketResult got{s.node, port, s.hops, false};
     if (got != flow_expected_[s.flow]) ++c.wrong_egress;
     if (flight != nullptr) {
-      flight->record({t, s.flow, packet, s.node, port, 0,
+      flight->record({t, s.flow, s.id, s.node, port, 0,
                       obs::HopOutcome::kDelivered});
     }
+    // The callback may inject (and so move packets_): `s` is done with.
     if (transport_ != nullptr) transport_->on_delivered(t, packet);
+    release(packet);
   };
   // Shared loss tail: every cause is counted by the caller first.
   const auto lose = [&](DropCause cause, std::uint32_t depth,
                         obs::HopOutcome outcome) {
     if (flight != nullptr) {
-      flight->record({t, s.flow, packet, s.node, port, depth, outcome});
+      flight->record({t, s.flow, s.id, s.node, port, depth, outcome});
     }
     if (transport_ != nullptr) transport_->on_dropped(t, packet, cause);
+    release(packet);
   };
   if (peer == polka::CompiledFabric::kNoNode) {
     // Unwired port: the packet egresses here -- a delivery.
@@ -268,6 +312,8 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
   const Channel& link = channels_[ch];
   ChannelState& state = channel_state_[ch];
   LinkStat& stat = result_.links[ch];
+  // The depth as of this event: departures ordered before it are gone.
+  retire(ch, {t, seq});
   if (link_up_[ch] == 0) {
     // The wire is gone: nothing to queue behind, the packet is lost.
     // This is the loss window hitless failover shrinks -- packets that
@@ -294,7 +340,7 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     if (transport_ != nullptr) transport_->on_ecn(s.flow);
   }
   if (flight != nullptr) {
-    flight->record({t, s.flow, packet, s.node, port, state.queued,
+    flight->record({t, s.flow, s.id, s.node, port, state.queued,
                     obs::HopOutcome::kForwarded});
   }
   // FIFO serialization: the wire commits to this packet after everything
@@ -305,9 +351,11 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
   stat.busy_ns += link.serialize_ns;
   ++stat.forwarded;
   s.node = peer;
-  // Drain (queue slot freed) before the downstream arrival: pushed
-  // first, so a zero-latency tie still frees the slot first.
-  queue_.push(depart, kDrain, ch);
+  // The departure frees its queue place at (depart, seq), ordered before
+  // the downstream arrival, so a zero-latency tie still frees it first.
+  std::uint32_t tail = state.head + state.queued - 1;
+  if (tail >= link.queue_capacity) tail -= link.queue_capacity;
+  departures_[state.ring + tail] = EventKey{depart, queue_.take_seq()};
   queue_.push(depart + link.latency_ns, kArrive, packet);
 }
 
@@ -327,37 +375,43 @@ SimResult PacketSim::run() {
     if (sampling && next_sample_ <= e.at) {
       // Sample every boundary at or before this event, *before*
       // processing it: each point is the state as of the boundary tick,
-      // pinned to event order, never wall clock.  No event lies between
-      // these boundaries, so one gauge update serves them all.
-      publish_gauges();
+      // pinned to event order, never wall clock.  Departures can lie
+      // between these boundaries, so each one retires its own.
       do {
+        for (std::uint32_t ch = 0; ch < channel_state_.size(); ++ch) {
+          retire(ch, {next_sample_, 0});
+        }
+        publish_gauges();
         config_.telemetry->sample(static_cast<double>(next_sample_) * 1e-9);
         next_sample_ += period;
       } while (next_sample_ <= e.at);
     }
     now_ = e.at;
+    ++events_.popped;
     switch (e.kind) {
       case kArrive:
-        handle_arrival(e.at, e.arg);
-        break;
-      case kDrain:
-        HP_DCHECK(channel_state_[e.arg].queued > 0,
-                  "PacketSim: drain on an empty channel queue");
-        --channel_state_[e.arg].queued;
+        ++events_.arrive;
+        handle_arrival(e.at, e.seq, e.arg);
         break;
       case kLinkDown:
       case kLinkUp:
+        ++events_.link;
         link_up_[e.arg] = e.kind == kLinkUp ? 1 : 0;
         ++result_.counters.link_events;
         break;
       case kTimer:
+        ++events_.timer;
         HP_DCHECK(transport_ != nullptr,
                   "PacketSim: timer event with no transport attached");
-        transport_->on_timer(e.at, e.arg);
+        transport_->on_timer(e.at, e.seq, e.arg);
         break;
       default:
         throw std::logic_error("PacketSim: unknown event kind");
     }
+  }
+  // Every departure precedes its own downstream arrival: all are past.
+  for (std::uint32_t ch = 0; ch < channel_state_.size(); ++ch) {
+    retire(ch, {kEndOfTime, 0});
   }
   result_.counters.end_ns = now_;
   publish_counters();

@@ -27,10 +27,26 @@
 //    utilization).
 //
 // Time is integer nanoseconds on an EventQueue (event_queue.hpp): a
-// monotone radix heap on the event tick that pops ties in push order.
-// Processing is single-threaded and the tie order is pinned, so a
-// fixed input schedule produces a bit-identical SimResult on every
+// monotone radix heap on the event tick that pops ties in (at, seq)
+// order.  Processing is single-threaded and the tie order is pinned, so
+// a fixed input schedule produces a bit-identical SimResult on every
 // run.
+//
+// The queue holds three kinds of event: a packet arriving at a node, a
+// link going down or up, and a transport timer.  The hot state is
+// sized by what is in flight, not by what was sent:
+//
+//  * a channel queue has no drain event.  Each enqueue writes the
+//    packet's (depart tick, seq) into the channel's ring -- one flat
+//    array of rings sized by the channels' queue capacities -- taking
+//    the seq a pushed drain would have taken.  The queue depth is the
+//    ring's occupancy, and the entries ordered before the current
+//    event are retired just before the depth is read: at an enqueue,
+//    at each telemetry boundary and at the end of run();
+//  * a packet's slot is recycled once the packet ends (delivered,
+//    dropped or TTL-expired), after the transport callback returns;
+//    slots are the handles the transport is called back with, and the
+//    flight recorder gets the monotone injection id instead.
 //
 // The engine owns its stats and calls its components directly: the
 // plain SimCounters / LinkStat / queue state are the only record (the
@@ -142,6 +158,18 @@ struct SimConfig {
   Tick telemetry_period_ns = 0;
 };
 
+/// Events popped by run(), by kind: a diagnostic record kept in plain
+/// engine state and never published to a registry.
+struct SimEventCounts {
+  std::uint64_t popped = 0;  ///< every event
+  std::uint64_t arrive = 0;  ///< packet arrivals: one per hop walked
+  std::uint64_t timer = 0;   ///< transport timers (flow opens, RTO wakes)
+  std::uint64_t link = 0;    ///< link down + link up
+
+  friend bool operator==(const SimEventCounts&,
+                         const SimEventCounts&) noexcept = default;
+};
+
 /// Merged outcome of one PacketSim::run().
 struct SimCounters {
   std::size_t injected = 0;
@@ -179,6 +207,8 @@ class PacketSim {
  public:
   /// Marks a fabric port with no channel behind it (an egress port).
   static constexpr std::uint32_t kNoChannel = 0xFFFFFFFFu;
+  /// Ends the free-slot list.
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   /// \param fabric compiled data plane whose kernels make every
   ///   forwarding decision
@@ -210,25 +240,37 @@ class PacketSim {
   /// `at`, carrying `label` (or, when ref.label_count > 1, the pooled
   /// segment list `ref` names -- the first pooled label must equal
   /// `label`, exactly as in a PacketStream).  Returns the packet's
-  /// index (the handle the attached Transport is called back with).
-  /// Safe to call while run() drains, which is how the transport
-  /// injects every send.  Throws std::invalid_argument on a bad
-  /// source, flow or ref.
+  /// slot (the handle the attached Transport is called back with); the
+  /// slot is recycled once the packet ends, so a handle names one
+  /// packet only while that packet is in flight.  Safe to call while
+  /// run() drains, which is how the transport injects every send.
+  /// Throws std::invalid_argument on a bad source, flow or ref.
   std::uint32_t inject(Tick at, polka::RouteLabel label, polka::SegmentRef ref,
                        std::uint32_t source, std::uint32_t flow);
 
   /// Attach the closed-loop transport (borrowed; must outlive run()).
   /// From then on the engine calls it once per delivered packet, per
-  /// lost packet (with its cause), per ECN mark and per kTimer event.
+  /// lost packet (with its cause), per ECN mark and per timer event.
   /// Transport::arm() does this.
   void attach(Transport& transport) noexcept { transport_ = &transport; }
 
-  /// Schedule a kTimer event at simulated time `at`; when it fires the
-  /// engine calls the attached transport's on_timer(at, arg).  The
-  /// queue never cancels: stale timers are the transport's problem (it
-  /// keeps an arm generation per flow).  Throws std::logic_error when
-  /// no transport is attached.
-  void schedule_timer(Tick at, std::uint32_t arg);
+  /// Schedule a timer event at simulated time `at`; when it fires the
+  /// engine calls the attached transport's on_timer(at, seq, arg).
+  /// Returns `seq`, the event's place among same-tick events.  The
+  /// queue never cancels, so the transport keeps at most one timer
+  /// pending per flow and recognises the one that matters by its
+  /// (tick, seq).  Throws std::logic_error when no transport is
+  /// attached.
+  std::uint64_t schedule_timer(Tick at, std::uint32_t arg);
+
+  /// Reserve the seq a timer scheduled now would take, without
+  /// scheduling it (see schedule_deferred_timer).
+  std::uint64_t reserve_timer_seq() noexcept { return queue_.take_seq(); }
+
+  /// Schedule a timer under a seq reserved earlier, so it fires where a
+  /// timer scheduled at reservation time would have.  `at` must be
+  /// strictly after now() (core::ContractViolation otherwise).
+  void schedule_deferred_timer(Tick at, std::uint64_t seq, std::uint32_t arg);
 
   /// Schedule the directed channel to go down (up = false) or come
   /// back (up = true) at simulated time `at`.  While a channel is
@@ -247,7 +289,13 @@ class PacketSim {
 
   [[nodiscard]] Tick now() const noexcept { return now_; }
 
+  /// Events popped so far, by kind (diagnostic).
+  [[nodiscard]] const SimEventCounts& event_counts() const noexcept {
+    return events_;
+  }
+
  private:
+  /// One packet slot.  A free slot links the free list through `node`.
   struct PacketState {
     std::uint64_t label = 0;     ///< active segment's bits
     polka::SegmentRef ref{};     ///< pooled segments (label_count > 1)
@@ -255,10 +303,15 @@ class PacketSim {
     std::uint32_t node = 0;      ///< current / next-arrival node
     std::uint32_t hops = 0;
     std::uint32_t flow = 0;
+    std::uint32_t id = 0;        ///< injection order (flight records)
   };
+  // The id fills what was padding: a slot stays 40 bytes.
+  static_assert(sizeof(PacketState) == 40);
 
   struct ChannelState {
-    std::uint32_t queued = 0;  ///< waiting + in serialization
+    std::uint32_t queued = 0;  ///< ring occupancy: waiting + in service
+    std::uint32_t head = 0;    ///< ring index of the oldest departure
+    std::uint32_t ring = 0;    ///< offset of the ring in departures_
     Tick free_at = 0;          ///< when the wire finishes its last commit
   };
 
@@ -283,7 +336,11 @@ class PacketSim {
   };
 
   void register_metrics();
-  void handle_arrival(Tick t, std::uint32_t packet);
+  void handle_arrival(Tick t, std::uint64_t seq, std::uint32_t packet);
+  /// Retire the channel's departures ordered before `now`.
+  void retire(std::uint32_t ch, EventKey now);
+  /// Return an ended packet's slot to the free list.
+  void release(std::uint32_t packet) noexcept;
   /// Set the gauges to the engine's current state.
   void publish_gauges();
   /// Add every counter's growth since the previous publish.
@@ -298,13 +355,18 @@ class PacketSim {
   std::span<const std::uint32_t> pool_waypoints_;
   std::vector<polka::PacketResult> flow_expected_;
   std::vector<PacketState> packets_;
+  std::uint32_t free_slot_ = kNoSlot;  ///< head of the free-slot list
   std::vector<ChannelState> channel_state_;
+  /// Every channel's ring of departures: each packet committed to the
+  /// channel, keyed where its dequeue falls in the event order.
+  std::vector<EventKey> departures_;
   std::vector<char> link_up_;  ///< per channel: 1 while the wire exists
   EventQueue queue_;
   Tick now_ = 0;
   Tick next_sample_ = 0;  ///< next telemetry-bridge tick boundary
   SimResult result_;
   Transport* transport_ = nullptr;
+  SimEventCounts events_;
   ObsHandles obs_;
   SimCounters published_;                  ///< counters at the last publish
   std::vector<LinkStat> published_links_;  ///< links at the last publish

@@ -287,6 +287,11 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
       }
       tp_lane[lane] = transport->add_lane(std::move(epochs));
     }
+    std::size_t epochs = 0;
+    for (const FlowDef& def : flow_defs) {
+      epochs += 1 + versions[def.lane].size();
+    }
+    transport->reserve(flow_defs.size(), stream.size(), epochs);
     for (const FlowDef& def : flow_defs) {
       (void)transport->add_flow(tp_lane[def.lane], def.source, def.start,
                                 src_gap, def.packets);
@@ -339,6 +344,9 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
 
   phase.emplace(options_.trace, "sim.simulate", "sim");
   const SimResult result = sim.run();
+  if (options_.event_counts != nullptr) {
+    *options_.event_counts = sim.event_counts();
+  }
   phase.emplace(options_.trace, "sim.report", "sim");
 
   // --- shape the result into the report -------------------------------

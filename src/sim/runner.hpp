@@ -104,6 +104,8 @@ struct SimOptions {
   /// uses a private registry so the bridge still has gauges to read.
   telemetry::TimeSeriesStore* telemetry = nullptr;
   Tick telemetry_period_ns = 100'000;  ///< 100 us of simulated time
+  /// Diagnostic: receives the engine's popped-event counts by kind.
+  SimEventCounts* event_counts = nullptr;
 };
 
 /// Runs PacketSim over a built fabric and a generated stream.

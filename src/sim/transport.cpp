@@ -12,6 +12,8 @@ namespace hp::sim {
 namespace {
 
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+/// Timer-arg bit of a flow-open kick; the low bits are the flow index.
+constexpr std::uint32_t kOpen = 1u << 31;
 
 }  // namespace
 
@@ -60,6 +62,8 @@ std::uint32_t Transport::add_flow(std::uint32_t lane, std::uint32_t source,
   }
   HP_CHECK(state_.size() + packets < kNone,
            "Transport::add_flow: sequence pools exceed 32-bit indexing");
+  HP_CHECK(flows_.size() < kOpen,
+           "Transport::add_flow: flow count exceeds the timer-arg range");
   Flow f;
   f.lane = lane;
   f.source = source;
@@ -82,17 +86,25 @@ std::uint32_t Transport::add_flow(std::uint32_t lane, std::uint32_t source,
   return static_cast<std::uint32_t>(flows_.size() - 1);
 }
 
+void Transport::reserve(std::size_t flows, std::size_t packets,
+                        std::size_t epochs) {
+  flows_.reserve(flows);
+  state_.reserve(packets);
+  tries_.reserve(packets);
+  sent_at_.reserve(packets);
+  last_packet_.reserve(packets);
+  lost_ring_.reserve(packets);
+  sim_flow_.reserve(epochs);
+}
+
 void Transport::arm() {
   HP_CHECK(!armed_, "Transport::arm called twice");
   armed_ = true;
   report_.enabled = true;
   sim_.attach(*this);
-  // Flow-open kicks: TimerRec id 0 is the open sentinel (RTO arms use
-  // generations starting at 1), so a kick needs no validity check.
+  // Flow-open kicks, told apart from RTO wakes by the kOpen bit.
   for (std::uint32_t i = 0; i < flows_.size(); ++i) {
-    timers_.push_back({i, 0});
-    sim_.schedule_timer(flows_[i].start,
-                        static_cast<std::uint32_t>(timers_.size() - 1));
+    (void)sim_.schedule_timer(flows_[i].start, i | kOpen);
   }
 }
 
@@ -146,16 +158,23 @@ std::uint32_t Transport::pop_lost(Flow& f) {
 }
 
 void Transport::arm_timer(Flow& f, std::uint32_t flow_index, Tick at) {
-  ++f.timer_id;
-  timers_.push_back({flow_index, f.timer_id});
-  sim_.schedule_timer(at, static_cast<std::uint32_t>(timers_.size() - 1));
-  f.timer_armed = true;
+  // A deadline later than the pending wake only reserves its place in
+  // the event order; the wake pushes it when it fires (on_timer).
+  const bool push = !f.wake_pending || at <= f.wake.at;
+  f.rto = {at, push ? sim_.schedule_timer(at, flow_index)
+                    : sim_.reserve_timer_seq()};
+  f.rto_armed = true;
+  if (push) {
+    f.wake = f.rto;
+    f.wake_pending = true;
+  }
+  if (f.horizon < f.rto) {
+    f.horizon = f.rto;
+    f.horizon_pushed = push;
+  }
 }
 
-void Transport::disarm_timer(Flow& f) {
-  f.timer_armed = false;
-  ++f.timer_id;  // any already-scheduled fire is now stale
-}
+void Transport::disarm_timer(Flow& f) { f.rto_armed = false; }
 
 void Transport::send_seq(Flow& f, std::uint32_t flow_index, std::uint32_t seq,
                          Tick t) {
@@ -165,6 +184,7 @@ void Transport::send_seq(Flow& f, std::uint32_t flow_index, std::uint32_t seq,
   const std::uint32_t handle = ensure_sim_flow(f, epoch_index);
   const std::uint32_t packet =
       sim_.inject(at, epoch.label, epoch.ref, f.source, handle);
+  // Slots are recycled, so the table grows only with the in-flight peak.
   if (packet >= tags_.size()) tags_.resize(packet + 1);
   tags_[packet] = {flow_index, seq};
   f.next_send = at + f.pace_ns;
@@ -180,7 +200,7 @@ void Transport::send_seq(Flow& f, std::uint32_t flow_index, std::uint32_t seq,
   last_packet_[slot] = packet;
   ++report_.packets_sent;
   if (tries_[slot] > 1) ++report_.retransmits;
-  if (!f.timer_armed) arm_timer(f, flow_index, at + rto_current(f));
+  if (!f.rto_armed) arm_timer(f, flow_index, at + rto_current(f));
 }
 
 void Transport::try_send(Flow& f, Tick t) {
@@ -278,7 +298,6 @@ void Transport::on_delivered(Tick t, std::uint32_t packet) {
     return;
   }
   // Re-arm: the timeout now covers the oldest still-unresolved data.
-  disarm_timer(f);
   arm_timer(f, tag.flow, t + rto_current(f));
   try_send(f, t);
 }
@@ -303,19 +322,43 @@ void Transport::on_dropped(Tick t, std::uint32_t packet, DropCause cause) {
   try_send(f, t);
 }
 
-void Transport::on_timer(Tick t, std::uint32_t rec_index) {
-  HP_DCHECK(rec_index < timers_.size(), "Transport: unknown timer record");
-  const TimerRec rec = timers_[rec_index];
-  Flow& f = flows_[rec.flow];
-  if (rec.id == 0) {  // flow-open kick
+void Transport::on_timer(Tick t, std::uint64_t seq, std::uint32_t arg) {
+  const std::uint32_t flow_index = arg & ~kOpen;
+  HP_DCHECK(flow_index < flows_.size(), "Transport: timer for unknown flow");
+  Flow& f = flows_[flow_index];
+  if ((arg & kOpen) != 0) {
     if (!f.abandoned) try_send(f, t);
     return;
   }
-  if (!f.timer_armed || rec.id != f.timer_id) return;  // stale arm
-  f.timer_armed = false;
+  const EventKey fired{t, seq};
+  // An older wake, superseded by a push for an earlier deadline (or the
+  // pending horizon): the flow's latest wake keeps the chain going.
+  if (!f.wake_pending || fired != f.wake) return;
+  f.wake_pending = false;
+  if (f.rto_armed && fired == f.rto) expire(f, flow_index, t);
+  if (f.wake_pending) return;  // the expiry's resend armed a new wake
+  // Keep one wake pending: for the live deadline when this one fired
+  // early, else on to the latest deadline ever armed.  Both lie
+  // strictly after `t`: a deadline at the wake's tick was pushed.
+  EventKey next;
+  if (f.rto_armed) {
+    next = f.rto;
+  } else if (f.horizon.at > t && !f.horizon_pushed) {
+    next = f.horizon;
+  } else {
+    return;
+  }
+  sim_.schedule_deferred_timer(next.at, next.seq, flow_index);
+  f.wake = next;
+  f.wake_pending = true;
+  if (next == f.horizon) f.horizon_pushed = true;
+}
+
+void Transport::expire(Flow& f, std::uint32_t flow_index, Tick t) {
+  f.rto_armed = false;
   if (done(f)) return;
   ++f.timeouts;
-  timeout_log_.push_back({rec.flow, t});
+  timeout_log_.push_back({flow_index, t});
   ++report_.timeouts;
   if (f.backoff < 63) ++f.backoff;  // exponential backoff (rto_max caps it)
   if (obs_.rto_ns != nullptr) obs_.rto_ns->record(rto_current(f));

@@ -23,10 +23,21 @@
 //    RTO: base = clamp(2 * SRTT, rto_min, rto_max), doubled on every
 //    expiry (exponential backoff, capped at rto_max) and reset by the
 //    next delivery.  An expiry presumes every outstanding sequence
-//    lost, collapses the window to 1 and retransmits oldest-first;
+//    lost, collapses the window to 1 and retransmits oldest-first.
+//    Every send and delivery re-arms the deadline, but a flow keeps at
+//    most one timer pending in the event queue (one timer per
+//    connection, as in Varghese & Lauck's timing wheels, SOSP 1987).
+//    An arm reserves its deadline's place in the event order, (tick,
+//    seq), and pushes a timer only when no wake is pending or the new
+//    deadline is no later than the pending wake.  A wake that fires
+//    before the live deadline pushes itself again at the deadline's
+//    reserved place, so the expiry fires exactly where a timer pushed
+//    at arm time would have.  A finished flow's wakes run on to the
+//    latest deadline it ever armed, which keeps the run's end tick
+//    (and so its duration) independent of the cancellations;
 //  * graceful degradation -- a sequence retransmitted more than
 //    `max_retries` times abandons its flow: the flow stops sending,
-//    releases its timer and is surfaced in the report as abandoned
+//    disarms its RTO and is surfaced in the report as abandoned
 //    rather than hanging the run (the liveness invariant is
 //    completed_flows + abandoned_flows == flows).
 //
@@ -131,6 +142,11 @@ class Transport {
   std::uint32_t add_flow(std::uint32_t lane, std::uint32_t source, Tick start,
                          Tick pace_ns, std::uint32_t packets);
 
+  /// Size the pools for `flows` flows carrying `packets` sequences in
+  /// all, over `epochs` lane epochs in all (each flow counts its lane's
+  /// epochs), so add_flow() never reallocates them.
+  void reserve(std::size_t flows, std::size_t packets, std::size_t epochs);
+
   /// Attach to the PacketSim and schedule every flow's opening event.
   /// Call exactly once, after the last add_flow and before
   /// PacketSim::run().
@@ -205,12 +221,16 @@ class Transport {
     Tick first_send = 0;
     Tick last_delivery = 0;
 
-    // RTO state
+    // RTO state: one live deadline and at most one wake pending
     Tick srtt_ns = 0;           ///< smoothed RTT (0 until first sample)
     std::uint32_t backoff = 0;  ///< doublings since the last delivery
-    std::uint64_t timer_id = 0;  ///< arm generation; stale fires no-op
-    bool timer_armed = false;
     std::uint32_t timeouts = 0;
+    bool rto_armed = false;     ///< `rto` is live
+    bool wake_pending = false;  ///< `wake` is scheduled and has not fired
+    bool horizon_pushed = false;  ///< a timer is scheduled at `horizon`
+    EventKey rto;      ///< the live deadline
+    EventKey wake;     ///< the flow's latest scheduled timer
+    EventKey horizon;  ///< the latest deadline ever armed
 
     /// Retransmit queue (may go stale): a ring of capacity `total` at
     /// lost_ring_[first ..).  A sequence enters only from kOutstanding
@@ -229,12 +249,6 @@ class Transport {
     Tick at = 0;
   };
 
-  /// One armed timer occurrence; kTimer events carry an index here.
-  struct TimerRec {
-    std::uint32_t flow = 0;
-    std::uint64_t id = 0;  ///< 0 = flow-open kick, else RTO generation
-  };
-
   struct PacketTag {
     std::uint32_t flow = 0;
     std::uint32_t seq = 0;
@@ -244,7 +258,9 @@ class Transport {
   void on_ecn(std::uint32_t sim_flow);
   void on_delivered(Tick t, std::uint32_t packet);
   void on_dropped(Tick t, std::uint32_t packet, DropCause cause);
-  void on_timer(Tick t, std::uint32_t rec_index);
+  /// `arg` is the flow index, with kOpen set on its opening kick.
+  void on_timer(Tick t, std::uint64_t seq, std::uint32_t arg);
+  void expire(Flow& f, std::uint32_t flow_index, Tick t);
 
   void try_send(Flow& f, Tick t);
   void send_seq(Flow& f, std::uint32_t flow_index, std::uint32_t seq, Tick t);
@@ -279,8 +295,7 @@ class Transport {
   /// registers exactly one).
   std::vector<std::uint32_t> sim_flow_;
   std::vector<TimeoutRec> timeout_log_;
-  std::vector<TimerRec> timers_;
-  std::vector<PacketTag> tags_;          ///< sim packet index -> (flow, seq)
+  std::vector<PacketTag> tags_;          ///< sim packet slot -> (flow, seq)
   std::vector<std::uint32_t> flow_of_;   ///< sim flow handle -> flow index
   TransportReport report_;
   std::size_t completed_ = 0;

@@ -100,6 +100,25 @@ TEST(Contracts, EventQueueRejectsPushIntoThePast) {
   EXPECT_EQ(r.pop().arg, 1u);
 }
 
+// Always on, Release included: a deferred event takes its place among
+// same-tick events by an older seq, so one filed on the floor tick --
+// whose events are already being popped -- would pop out of order.
+TEST(Contracts, EventQueueRejectsDeferredPushAtOrBeforeTheFloor) {
+  sim::EventQueue q;
+  const std::uint64_t early = q.take_seq();
+  q.push(10, 0, 0);
+  EXPECT_EQ(q.pop().at, 10u);
+  EXPECT_THROW(q.push_deferred(10, early, 0, 1), core::ContractViolation);
+  EXPECT_THROW(q.push_deferred(9, early, 0, 1), core::ContractViolation);
+  EXPECT_TRUE(q.empty());
+  // Strictly after the floor it is accepted, and it pops ahead of a
+  // newer-seq event pushed on the same tick before it.
+  q.push(11, 0, 2);
+  EXPECT_NO_THROW(q.push_deferred(11, early, 0, 3));
+  EXPECT_EQ(q.pop().arg, 3u);
+  EXPECT_EQ(q.pop().arg, 2u);
+}
+
 TEST(Contracts, PacketSimRejectsInjectBeforeNow) {
   netsim::Topology topo;
   const auto a = topo.add_node("a");

@@ -289,6 +289,43 @@ TEST(SimObservability, FlightRecorderIsDeterministic) {
   }
 }
 
+// The closed loop recycles packet slots, so a recorded packet id is
+// the packet's injection order, not its slot.  The hp-flight-v1 output
+// of a closed-loop failover run is pinned by hash: a change to how the
+// engine stores packets must leave it untouched.
+TEST(SimObservability, ClosedLoopFlightRecordingGolden) {
+  const scenario::ScenarioSpec spec = small_spec("torus4x4/hotspot");
+  obs::FlightRecorder recorder(/*capacity=*/8192, /*sample_every=*/4);
+  sim::SimOptions options = closed_flap_options(spec);
+  options.recorder = &recorder;
+  (void)sim::run_sim_scenario(spec, options);
+  const std::string json = recorder.to_json();
+  EXPECT_EQ(recorder.total_recorded(), 5'820u);
+  EXPECT_EQ(fnv1a(kFnvBasis, json.data(), json.size()),
+            0xe0dc6b7bcb76cc4ull);
+}
+
+// Event-count guard on the closed-loop failover run.  Before the
+// engine dropped its queue-drain events and kept one pending RTO wake
+// per flow, this run popped 44,339 events: 22,776 arrivals, 14,087
+// drains, 7,464 timers (1,558 of them stale RTO re-arms) and 12 link
+// events.
+TEST(SimObservability, ClosedLoopEventCountsPinned) {
+  const scenario::ScenarioSpec spec = small_spec("torus4x4/hotspot");
+  sim::SimEventCounts counts;
+  sim::SimOptions options = closed_flap_options(spec);
+  options.event_counts = &counts;
+  const sim::SimReport report = sim::run_sim_scenario(spec, options);
+  // Every popped event is an arrival, a timer or a link event: a
+  // channel retires its departures without an event of its own.
+  EXPECT_EQ(counts.popped, counts.arrive + counts.timer + counts.link);
+  EXPECT_EQ(counts.arrive, report.forwarding.mod_operations);
+  EXPECT_EQ(counts.arrive, 22'776u);
+  EXPECT_EQ(counts.link, 12u);
+  EXPECT_EQ(counts.timer, 7'432u);
+  EXPECT_EQ(counts.popped, 30'220u);
+}
+
 TEST(SimObservability, PhaseTraceCoversRunnerStages) {
   const scenario::ScenarioSpec spec = small_spec("ring12/uniform");
   obs::TraceSink sink;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <queue>
 #include <random>
@@ -175,6 +176,76 @@ TEST(EventQueue, RadixMatchesReferenceOnWideTickRanges) {
     }
     EXPECT_GT(tie_bursts, 0u);
     EXPECT_EQ(popped_top_half, script.start >= kTopBit / 2);
+  }
+}
+
+TEST(EventQueue, DeferredPushesMatchReferenceOnSeededScripts) {
+  // take_seq() reserves a place in the (at, seq) order without pushing;
+  // push_deferred() files an event there later, possibly behind
+  // newer-seq events already pending on the same tick.  Reference: one
+  // std::priority_queue on (at, seq).
+  struct Later {
+    bool operator()(const sim::Event& a, const sim::Event& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  for (const std::uint64_t seed : {21u, 22u, 23u, 24u, 25u, 26u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const auto draw = [&](std::uint64_t n) { return rng() % n; };
+    sim::EventQueue q;
+    std::priority_queue<sim::Event, std::vector<sim::Event>, Later> ref;
+    std::vector<std::uint64_t> reserved;  // taken, not pushed yet
+    std::uint32_t arg = 0;
+    const auto push = [&](sim::Tick at) {
+      const auto kind = static_cast<std::uint32_t>(draw(4));
+      const std::uint64_t seq = q.push(at, kind, arg);
+      ref.push(sim::Event{at, seq, kind, arg++});
+    };
+    const auto defer = [&](sim::Tick at) {
+      const std::size_t i = draw(reserved.size());
+      const std::uint64_t seq = reserved[i];
+      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(i));
+      const auto kind = static_cast<std::uint32_t>(draw(4));
+      q.push_deferred(at, seq, kind, arg);
+      ref.push(sim::Event{at, seq, kind, arg++});
+    };
+    for (int i = 0; i < 64; ++i) push(draw(32));
+    std::size_t ties = 0;
+    std::size_t deferred = 0;
+    while (!q.empty()) {
+      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_EQ(q.top().seq, ref.top().seq);
+      const sim::Event got = q.pop();
+      const sim::Event want = ref.top();
+      ref.pop();
+      ASSERT_EQ(got.at, want.at);
+      ASSERT_EQ(got.seq, want.seq);
+      ASSERT_EQ(got.kind, want.kind);
+      ASSERT_EQ(got.arg, want.arg);
+      const sim::Tick now = got.at;
+      if (arg >= 20'000) continue;  // stop growing; drain
+      const std::uint64_t step = draw(6);
+      if (step == 0) {
+        reserved.push_back(q.take_seq());
+      } else if (step == 1 && !reserved.empty()) {
+        // A newer-seq event first, then the deferred one on its tick.
+        const sim::Tick at = now + 1 + draw(16);
+        push(at);
+        defer(at);
+        ++ties;
+        ++deferred;
+      } else if (step == 2 && !reserved.empty()) {
+        defer(now + 1 + draw(256));
+        ++deferred;
+      } else {
+        const std::uint64_t fanout = draw(4);
+        for (std::uint64_t k = 0; k < fanout; ++k) push(now + draw(64));
+      }
+    }
+    EXPECT_TRUE(ref.empty());
+    EXPECT_GT(ties, 0u);
+    EXPECT_GT(deferred, 100u);
   }
 }
 

@@ -44,6 +44,7 @@ struct Rig {
   std::optional<sim::PacketSim> sim;
   sim::RouteEpoch epoch;       ///< base a->b route, from = 0
   std::uint32_t source = 0;    ///< fabric index of router a
+  std::size_t channel_count = 0;
 
   explicit Rig(bool wire_down) : fabric(make_topo()) {
     const auto& fast = fabric.compiled();
@@ -80,14 +81,10 @@ struct Rig {
         channels.push_back(ch);
       }
     }
-    const std::size_t channel_count = channels.size();
+    channel_count = channels.size();
     sim.emplace(fast, std::move(channels), std::move(node_offset),
                 std::move(port_channel), sim::SimConfig{});
-    if (wire_down) {
-      for (std::size_t ch = 0; ch < channel_count; ++ch) {
-        sim->schedule_link_state(0, static_cast<std::uint32_t>(ch), false);
-      }
-    }
+    if (wire_down) set_wire(0, /*up=*/false);
     const scenario::CompiledRoute* route = fabric.route(0, 1);
     if (route == nullptr) {
       throw std::logic_error("Rig: a->b route failed to compile");
@@ -97,6 +94,13 @@ struct Rig {
     epoch.ref = {};  // one hop: single label, no pooled segments
     epoch.expected = route->expected;
     source = route->ingress;
+  }
+
+  /// Take both directions of the wire down (or back up) at `at`.
+  void set_wire(sim::Tick at, bool up) {
+    for (std::size_t ch = 0; ch < channel_count; ++ch) {
+      sim->schedule_link_state(at, static_cast<std::uint32_t>(ch), up);
+    }
   }
 
  private:
@@ -172,6 +176,110 @@ TEST(Transport, HealthyWireCompletesWithoutRetransmission) {
   EXPECT_EQ(report.goodput_bytes, 8 * kPacketBytes);
   EXPECT_EQ(report.goodput_bytes, report.offered_bytes);
   EXPECT_EQ(tp.completed_flows(), 1u);
+}
+
+// The three ways a flow's one pending RTO wake can fire.  The Rig's
+// path delivers 90 us after a send (80 us serialization + 10 us
+// propagation), and the RTO floor of 200 us stays above that, so a
+// timeout below always means a dead wire.
+
+// A delivery re-arms the RTO later than the pending wake: the new
+// deadline only reserves its place in the event order, and the wake,
+// firing early, pushes itself again for the live deadline instead of
+// expiring.  Once the flow completes, the last wake runs on to the
+// latest deadline it ever armed, which is where the run ends.
+TEST(Transport, EarlyWakeReschedulesForTheLiveDeadline) {
+  Rig rig(/*wire_down=*/false);
+  sim::TransportOptions options;
+  options.init_cwnd = 1;  // one packet per RTT: a re-arm per delivery
+  options.max_cwnd = 1;
+  options.rto_min_ns = 200'000;
+  sim::Transport tp(*rig.sim, options, kPacketBytes, nullptr);
+  const std::uint32_t lane = tp.add_lane({rig.epoch});
+  (void)tp.add_flow(lane, rig.source, /*start=*/0, /*pace_ns=*/100,
+                    /*packets=*/32);
+  tp.arm();
+  const sim::SimResult result = rig.sim->run();
+
+  const sim::Transport::FlowView view = tp.flow_view(0);
+  EXPECT_TRUE(view.completed);
+  EXPECT_EQ(view.timeouts, 0u) << "an early wake was taken for an expiry";
+  EXPECT_EQ(tp.report().retransmits, 0u);
+  // Sequence k arrives at (k + 1) * 90 us.  The last re-arm, at the
+  // delivery of sequence 30 (2,790 us), set the latest deadline,
+  // 2,990 us; the completion at 2,880 us cancels nothing, so the run
+  // ends there, as it did when every re-arm pushed its own timer.
+  EXPECT_EQ(result.counters.end_ns, 2'990'000u);
+  // One flow-open kick, 16 early wakes 180 us apart (200 .. 2,900 us)
+  // and the run-on wake at 2,990 us.  A timer per arm was 33 events:
+  // the kick, the first send and 31 re-arms.
+  EXPECT_EQ(rig.sim->event_counts().timer, 18u);
+}
+
+// A delivery after backed-off timeouts arms a deadline earlier than
+// the pending wake: it is pushed at once and fires at its own tick.
+TEST(Transport, EarlierDeadlineIsPushedAndFiresOnTime) {
+  Rig rig(/*wire_down=*/true);
+  rig.set_wire(300'000, /*up=*/true);
+  rig.set_wire(650'000, /*up=*/false);  // dead again after one delivery
+  sim::TransportOptions options;
+  options.init_cwnd = 1;
+  options.max_cwnd = 1;
+  options.rto_min_ns = 200'000;
+  options.rto_max_ns = 10'000'000;
+  options.max_retries = 3;
+  sim::Transport tp(*rig.sim, options, kPacketBytes, nullptr);
+  const std::uint32_t lane = tp.add_lane({rig.epoch});
+  (void)tp.add_flow(lane, rig.source, /*start=*/0, /*pace_ns=*/100,
+                    /*packets=*/2);
+  tp.arm();
+  const sim::SimResult result = rig.sim->run();
+
+  const sim::Transport::FlowView view = tp.flow_view(0);
+  EXPECT_TRUE(view.abandoned);
+  EXPECT_EQ(view.delivered, 1u);
+  // Sequence 0 dies at 0 and 200 us; its third copy (600 us) arrives at
+  // 690 us, when the backed-off wake pends at 600 + 800 = 1,400 us.
+  // The delivery resets the backoff and arms 690 + 200 = 890 us, which
+  // must expire there (sequence 1 died at the dead wire), not at 1,400.
+  EXPECT_EQ(view.timeout_at,
+            (std::vector<sim::Tick>{200'000, 600'000, 890'000, 1'290'000,
+                                    2'090'000, 3'690'000}));
+  EXPECT_EQ(result.counters.end_ns, 3'690'000u);
+  // The kick, the six expiries, and the superseded 1,400 us wake.
+  EXPECT_EQ(rig.sim->event_counts().timer, 8u);
+}
+
+// Abandonment cancels nothing: the flow's wakes run on to the latest
+// deadline it ever armed, so the run ends there.
+TEST(Transport, AbandonedFlowRunsOnToItsLatestDeadline) {
+  Rig rig(/*wire_down=*/true);
+  rig.set_wire(300'000, /*up=*/true);
+  sim::TransportOptions options;
+  options.init_cwnd = 2;
+  options.max_cwnd = 2;
+  options.rto_min_ns = 200'000;
+  options.rto_max_ns = 10'000'000;
+  options.max_retries = 1;
+  sim::Transport tp(*rig.sim, options, kPacketBytes, nullptr);
+  const std::uint32_t lane = tp.add_lane({rig.epoch});
+  (void)tp.add_flow(lane, rig.source, /*start=*/0, /*pace_ns=*/100,
+                    /*packets=*/2);
+  tp.arm();
+  const sim::SimResult result = rig.sim->run();
+
+  const sim::Transport::FlowView view = tp.flow_view(0);
+  EXPECT_TRUE(view.abandoned);
+  EXPECT_EQ(view.delivered, 1u);
+  // Both sequences die at once; the 200 us expiry resends 0 (dead
+  // again), the 600 us expiry resends 1, which arrives at 690 us.  That
+  // delivery arms 890 us, earlier than the 1,400 us deadline the 600 us
+  // resend armed, and at 890 us sequence 0 has used its one retry: the
+  // flow is abandoned.  The run still ends at 1,400 us.
+  EXPECT_EQ(view.timeout_at,
+            (std::vector<sim::Tick>{200'000, 600'000, 890'000}));
+  EXPECT_EQ(result.counters.end_ns, 1'400'000u);
+  EXPECT_EQ(rig.sim->event_counts().timer, 5u);
 }
 
 TEST(Transport, ScheduleTimerNeedsAnAttachedTransport) {
