@@ -63,7 +63,8 @@ Workbench& cached_workbench() {
 void run_replay(benchmark::State& state, bool with_metrics) {
   const Workbench& wb = cached_workbench();
   const hp::polka::CompiledFabric fast(wb.built->fabric());
-  const hp::scenario::LaneTable table = wb.lanes.table();
+  const hp::scenario::LaneTable table =
+      wb.lanes.table(wb.stream.seg_labels, wb.stream.seg_waypoints);
   hp::obs::MetricRegistry registry;
   hp::obs::MetricRegistry* metrics = with_metrics ? &registry : nullptr;
   std::size_t packets = 0;

@@ -91,7 +91,8 @@ void run_replay(benchmark::State& state, const std::string& which,
     return;
   }
   const auto& fast = wb.built->compiled();
-  const hp::scenario::LaneTable table = wb.lanes.table();
+  const hp::scenario::LaneTable table =
+      wb.lanes.table(wb.stream.seg_labels, wb.stream.seg_waypoints);
   std::size_t packets = 0;
   std::size_t mods = 0;
   for (auto _ : state) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -164,10 +165,7 @@ void replay_slice(const polka::CompiledFabric& fabric,
 }  // namespace
 
 LaneRoutes::LaneRoutes(const PacketStream& stream)
-    : alive(stream.pairs.size(), 1),
-      seg_labels(stream.seg_labels),
-      seg_waypoints(stream.seg_waypoints),
-      seg_refs(stream.seg_refs) {
+    : alive(stream.pairs.size(), 1), seg_refs(stream.seg_refs) {
   labels.reserve(stream.pairs.size());
   ingress.reserve(stream.pairs.size());
   expected.reserve(stream.pairs.size());
@@ -248,230 +246,181 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
     fabric.set_observability(options_.metrics, options_.trace);
   }
   const std::size_t total = stream.size();
-  // Pre-install the protection plane before any packet moves: failures
-  // then swap to backups in O(1) instead of recompiling.
+  // The timeline pre-installs the protection plane before any packet
+  // moves: failures then swap to backups in O(1) instead of recompiling.
+  std::optional<obs::TraceScope> protect_scope;
   if (options_.protection_k > 0) {
-    obs::TraceScope protect_scope(options_.trace, "replay.protect", "replay");
-    (void)fabric.enable_protection(options_.protection_k);
+    protect_scope.emplace(options_.trace, "replay.protect", "replay");
   }
+  RouteTimeline timeline(fabric, stream, options_.failures,
+                         options_.protection_k);
+  protect_scope.reset();
+  const std::vector<LinkFailure>& failures = timeline.schedule();
   // Compile the flattened view before any thread is spawned: the lazy
   // compiled() cache is not thread-safe to build concurrently.
   const polka::CompiledFabric& fast = fabric.compiled();
-
-  // Epoch boundaries from the failure schedule.
-  std::vector<LinkFailure> failures = options_.failures;
-  std::ranges::stable_sort(failures, {}, &LinkFailure::at_fraction);
   // Run-local lane state: failure repairs rewrite it, never the
   // caller's stream.
   LaneRoutes lanes(stream);
 
-  // Streams intern each (src, dst) once; resolve lane by pair key once
-  // instead of per failure event (flap schedules fire dozens).
-  std::unordered_map<std::uint64_t, std::uint32_t> lane_of;
-  for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
-    lane_of.emplace(
-        netsim::node_pair_key(stream.pairs[lane].src, stream.pairs[lane].dst),
-        lane);
-  }
-
   ScenarioReport report;
   report.fold_kernel = fast.kernel();
   std::size_t done = 0;
-  std::size_t next_failure = 0;
 
   // Replay the stream from `done` up to `upto` against the lanes'
   // current routes.  Views are rebuilt per call: repair may grow the
-  // segment pools (and reallocate them).
+  // timeline's segment pools (and reallocate them).
   auto replay_to = [&](std::size_t upto) {
     if (upto <= done) return;
     // Sequential partials: counters and wall clock both sum.
     report.merge_from(replay_shards(
         fast, std::span<const std::uint32_t>(stream.pair).subspan(
                   done, upto - done),
-        lanes.table(), options_.threads, options_.batch_size,
-        options_.max_hops, options_.metrics));
+        lanes.table(timeline.seg_labels(), timeline.seg_waypoints()),
+        options_.threads, options_.batch_size, options_.max_hops,
+        options_.metrics));
     done = upto;
   };
-
-  // Repoint every listed pair's lane at its current cached route (all
-  // cache hits: the failover event already stored them).  Packets read
-  // their route from the lane, so this is O(pairs listed) however much
-  // of the stream is left.  `revive` resurrects lanes a previous
-  // failure severed (link restores bring their routes back); `touched`
-  // collects the updated lanes for the caller's loss window.
-  auto relabel =
-      [&](const std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>>&
-              pairs,
-          bool revive, std::vector<std::uint32_t>* touched) {
-        for (const auto& [src, dst] : pairs) {
-          const auto it = lane_of.find(netsim::node_pair_key(src, dst));
-          if (it == lane_of.end()) continue;
-          const std::uint32_t lane = it->second;
-          if (!lanes.alive[lane] && !revive) continue;
-          const CompiledRoute* route = fabric.route(src, dst);
-          if (route == nullptr || route->segments.labels.empty()) {
-            lanes.alive[lane] = 0;
-            continue;
-          }
-          lanes.alive[lane] = 1;
-          ++report.rerouted_pairs;
-          lanes.expected[lane] = route->expected;
-          lanes.labels[lane] = route->segments.labels.front();
-          // A detour may gain or lose segments; pool the new list and
-          // repoint the lane (orphaning its old slice is harmless).
-          lanes.seg_refs[lane] = append_segments(
-              lanes.seg_labels, lanes.seg_waypoints, route->segments);
-          if (touched != nullptr) touched->push_back(lane);
-        }
-      };
-
-  while (done < total || next_failure < failures.size()) {
-    std::size_t end = total;
-    if (next_failure < failures.size()) {
-      const double f = std::clamp(failures[next_failure].at_fraction, 0.0, 1.0);
-      end = std::min<std::size_t>(
-          total, static_cast<std::size_t>(std::llround(
-                     f * static_cast<double>(total))));
-      end = std::max(end, done);
+  // Every scheduled event ends an epoch, duplicates included.
+  auto epoch_to = [&](std::size_t end) {
+    if (end <= done) return;
+    obs::TraceScope epoch_scope(options_.trace, "replay.epoch", "replay");
+    replay_to(end);
+    if (options_.metrics != nullptr) {
+      options_.metrics->counter("replay.epochs").add(1);
     }
-    if (end > done) {
-      obs::TraceScope epoch_scope(options_.trace, "replay.epoch", "replay");
-      replay_to(end);
-      if (options_.metrics != nullptr) {
-        options_.metrics->counter("replay.epochs").add(1);
+  };
+  // The stream index event `i` fires at (the stream's end past the
+  // last event).
+  auto index_of = [&](std::size_t i) -> std::size_t {
+    return i < failures.size() ? RouteTimeline::position(failures[i], total)
+                               : total;
+  };
+
+  for (std::size_t next = 0; next < failures.size(); ++next) {
+    epoch_to(index_of(next));
+    const LinkFailure& failure = failures[next];
+    obs::TraceScope repair_scope(
+        options_.trace, failure.restore ? "replay.restore" : "replay.repair",
+        "replay");
+    const auto t0 = std::chrono::steady_clock::now();
+    const RouteEvent ev = timeline.apply(failure);
+    if (ev.report.duplicate) continue;
+
+    // Repoint each moved lane at its new route: packets read their
+    // route from the lane, so this is O(lanes moved) however much of
+    // the stream is left.  A dead lane stays dead unless a restore
+    // swaps it back; repaired lanes enter the loss window, swapped
+    // ones never do.  Severed lanes die (remaining packets drop) and
+    // their unreplayed tail is charged to the failover loss account.
+    std::vector<std::uint32_t> window_lanes;
+    std::vector<std::uint32_t> severed;
+    for (const LaneChange& change : ev.changes) {
+      const std::uint32_t lane = change.lane;
+      const bool swap = change.kind == LaneChange::Kind::kSwap;
+      if (change.kind == LaneChange::Kind::kUnroutable) {
+        if (lanes.alive[lane] != 0) severed.push_back(lane);
+        lanes.alive[lane] = 0;
+        continue;
+      }
+      if (lanes.alive[lane] == 0 && !(swap && failure.restore)) continue;
+      lanes.alive[lane] = change.route.has_value() ? 1 : 0;
+      if (!change.route) continue;
+      ++report.rerouted_pairs;
+      lanes.labels[lane] = change.route->label;
+      lanes.seg_refs[lane] = change.route->ref;
+      lanes.expected[lane] = change.route->expected;
+      if (!swap) window_lanes.push_back(lane);
+    }
+    report.unroutable_pairs += severed.size();
+    std::size_t lost = 0;
+    if (!severed.empty()) {
+      std::vector<char> is_severed(stream.pairs.size(), 0);
+      for (const std::uint32_t lane : severed) is_severed[lane] = 1;
+      for (std::size_t i = done; i < total; ++i) {
+        if (is_severed[stream.pair[i]] != 0) ++lost;
       }
     }
-    if (next_failure < failures.size()) {
-      const LinkFailure& failure = failures[next_failure++];
-      obs::TraceScope repair_scope(
-          options_.trace, failure.restore ? "replay.restore" : "replay.repair",
-          "replay");
-      const auto t0 = std::chrono::steady_clock::now();
-      const FailoverReport ev =
-          failure.restore ? fabric.restore_link(failure.a, failure.b)
-                          : fabric.apply_failure(failure.a, failure.b);
-      // Graceful degradation: failing a dead link (or restoring a live
-      // one) is a no-op, not an error -- storms hit this constantly.
-      if (ev.duplicate) continue;
+    report.backup_swapped_pairs += ev.report.swapped.size();
+    report.window_recompiles += ev.report.window_recompiles;
+    report.lazy_repaired_pairs += ev.lazy.repaired.size();
 
-      // Hitless swaps first (no loss window), then in-event repairs,
-      // then the lazy recompiler for pairs whose protection set died.
-      std::vector<std::uint32_t> window_lanes;
-      relabel(ev.swapped, failure.restore, nullptr);
-      relabel(ev.repaired, false, &window_lanes);
-      FailoverReport lazy;
-      if (fabric.pending_repair_count() > 0) {
-        lazy = fabric.repair_pending();
-        relabel(lazy.repaired, false, &window_lanes);
-      }
-
-      // Severed pairs: mark dead (remaining packets drop) and charge
-      // their unreplayed tail to the failover loss account.
-      std::vector<std::uint32_t> severed;
-      for (const auto* list : {&ev.unroutable, &std::as_const(lazy).unroutable}) {
-        for (const auto& [src, dst] : *list) {
-          const auto it = lane_of.find(netsim::node_pair_key(src, dst));
-          if (it == lane_of.end() || !lanes.alive[it->second]) continue;
-          lanes.alive[it->second] = 0;
-          severed.push_back(it->second);
-          ++report.unroutable_pairs;
+    // Convergence-loss model: each *recompiled* pair loses its own
+    // next loss_window_per_recompile packets.  The tail is chopped at
+    // each lane's window end and replayed with the still-converging
+    // lanes masked dead, so drops thread through the normal shard
+    // accounting and stay per-pair exact.  Swapped pairs never enter
+    // this block: that asymmetry is what "hitless" means.
+    if (!window_lanes.empty() && options_.loss_window_per_recompile > 0 &&
+        done < total) {
+      // Windows never run past the next scheduled event.
+      const std::size_t bound = std::clamp(index_of(next + 1), done, total);
+      std::unordered_map<std::uint32_t, std::size_t> quota;
+      for (const std::uint32_t lane : window_lanes) {
+        if (lanes.alive[lane] != 0) {
+          quota.emplace(lane, options_.loss_window_per_recompile);
         }
       }
-      std::size_t lost = 0;
-      if (!severed.empty()) {
-        std::vector<char> is_severed(stream.pairs.size(), 0);
-        for (const std::uint32_t lane : severed) is_severed[lane] = 1;
-        for (std::size_t i = done; i < total; ++i) {
-          if (is_severed[stream.pair[i]] != 0) ++lost;
-        }
-      }
-      report.backup_swapped_pairs += ev.swapped.size();
-      report.window_recompiles += ev.window_recompiles;
-      report.lazy_repaired_pairs += lazy.repaired.size();
-
-      // Convergence-loss model: each *recompiled* pair loses its own
-      // next loss_window_per_recompile packets.  The tail is chopped at
-      // each lane's window end and replayed with the still-converging
-      // lanes masked dead, so drops thread through the normal shard
-      // accounting and stay per-pair exact.  Swapped pairs never enter
-      // this block: that asymmetry is what "hitless" means.
-      if (!window_lanes.empty() && options_.loss_window_per_recompile > 0 &&
-          done < total) {
-        // Windows never run past the next scheduled event.
-        std::size_t bound = total;
-        if (next_failure < failures.size()) {
-          const double f =
-              std::clamp(failures[next_failure].at_fraction, 0.0, 1.0);
-          const auto boundary = static_cast<std::size_t>(
-              std::llround(f * static_cast<double>(total)));
-          bound = std::clamp(boundary, done, total);
-        }
-        std::unordered_map<std::uint32_t, std::size_t> quota;
-        for (const std::uint32_t lane : window_lanes) {
-          if (lanes.alive[lane] != 0) {
-            quota.emplace(lane, options_.loss_window_per_recompile);
+      // One forward walk finds each lane's window end (the stream
+      // position of its last lost packet) and the loss count.
+      std::vector<std::pair<std::size_t, std::uint32_t>> chops;
+      std::vector<std::uint32_t> unfinished;
+      {
+        auto remaining = quota;
+        for (std::size_t i = done; i < bound && !remaining.empty(); ++i) {
+          const auto it = remaining.find(stream.pair[i]);
+          if (it == remaining.end()) continue;
+          ++lost;
+          if (--it->second == 0) {
+            chops.emplace_back(i + 1, it->first);
+            remaining.erase(it);
           }
         }
-        // One forward walk finds each lane's window end (the stream
-        // position of its last lost packet) and the loss count.
-        std::vector<std::pair<std::size_t, std::uint32_t>> chops;
-        std::vector<std::uint32_t> unfinished;
-        {
-          auto remaining = quota;
-          for (std::size_t i = done; i < bound && !remaining.empty(); ++i) {
-            const auto it = remaining.find(stream.pair[i]);
-            if (it == remaining.end()) continue;
-            ++lost;
-            if (--it->second == 0) {
-              chops.emplace_back(i + 1, it->first);
-              remaining.erase(it);
-            }
-          }
-          for (const auto& [lane, left] : remaining) {
-            unfinished.push_back(lane);
-          }
-        }
-        for (const auto& [lane, left] : quota) lanes.alive[lane] = 0;
-        for (const auto& [chop_end, lane] : chops) {
-          replay_to(chop_end);
-          lanes.alive[lane] = 1;  // this lane converged; it forwards again
-        }
-        if (!unfinished.empty()) {
-          // Lanes whose window outlives the inter-event gap (or the
-          // stream) stay masked to the bound, then resume.
-          replay_to(bound);
-          for (const std::uint32_t lane : unfinished) lanes.alive[lane] = 1;
+        for (const auto& [lane, left] : remaining) {
+          unfinished.push_back(lane);
         }
       }
-      report.failover_packets_lost += lost;
+      for (const auto& [lane, left] : quota) lanes.alive[lane] = 0;
+      for (const auto& [chop_end, lane] : chops) {
+        replay_to(chop_end);
+        lanes.alive[lane] = 1;  // this lane converged; it forwards again
+      }
+      if (!unfinished.empty()) {
+        // Lanes whose window outlives the inter-event gap (or the
+        // stream) stay masked to the bound, then resume.
+        replay_to(bound);
+        for (const std::uint32_t lane : unfinished) lanes.alive[lane] = 1;
+      }
+    }
+    report.failover_packets_lost += lost;
 
-      if (options_.metrics != nullptr) {
-        obs::MetricRegistry& reg = *options_.metrics;
-        reg.counter(failure.restore ? "replay.failover.restores"
-                                    : "replay.failover.failures")
-            .add(1);
-        reg.counter("replay.failover.swaps").add(ev.swapped.size());
-        reg.counter("replay.failover.window_recompiles")
-            .add(ev.window_recompiles);
-        reg.counter("replay.failover.lazy_repairs").add(lazy.repaired.size());
-        reg.counter("replay.failover.packets_lost").add(lost);
-        reg.counter("replay.failover.unroutable_pairs").add(severed.size());
-        // Backup-path stretch in percent: deterministic content (a
-        // pure path-length ratio), unlike the wall-clock histogram
-        // below whose _ns suffix keeps it out of snapshot diffing.
-        for (const double stretch : ev.swap_stretch) {
-          reg.histogram("replay.failover.stretch_pct")
-              .record(static_cast<std::uint64_t>(
-                  std::llround(stretch * 100.0)));
-        }
-        reg.histogram("replay.failover.switchover_ns")
+    if (options_.metrics != nullptr) {
+      obs::MetricRegistry& reg = *options_.metrics;
+      reg.counter(failure.restore ? "replay.failover.restores"
+                                  : "replay.failover.failures")
+          .add(1);
+      reg.counter("replay.failover.swaps").add(ev.report.swapped.size());
+      reg.counter("replay.failover.window_recompiles")
+          .add(ev.report.window_recompiles);
+      reg.counter("replay.failover.lazy_repairs").add(ev.lazy.repaired.size());
+      reg.counter("replay.failover.packets_lost").add(lost);
+      reg.counter("replay.failover.unroutable_pairs").add(severed.size());
+      // Backup-path stretch in percent: deterministic content (a
+      // pure path-length ratio), unlike the wall-clock histogram
+      // below whose _ns suffix keeps it out of snapshot diffing.
+      for (const double stretch : ev.report.swap_stretch) {
+        reg.histogram("replay.failover.stretch_pct")
             .record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count()));
+                std::llround(stretch * 100.0)));
       }
+      reg.histogram("replay.failover.switchover_ns")
+          .record(static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count()));
     }
   }
+  epoch_to(total);
   if (options_.metrics != nullptr) {
     options_.metrics->counter("replay.rerouted_pairs")
         .add(report.rerouted_pairs);

@@ -7,12 +7,15 @@
 // buffers and counters, which are merged after join.  The compiled
 // fabric is immutable during a replay, so workers share it without
 // synchronization.  An optional link-failure
-// schedule splits the stream into epochs: at each failure point the
-// affected routes are recompiled against the degraded topology and
-// those pairs' lanes get their new labels -- including fresh segment
-// lists when the detour outgrows one 64-bit label (only pairs that
-// lose connectivity are dropped and counted).  A relabel therefore
-// costs O(lanes affected), not O(packets left in the stream).
+// schedule splits the stream into epochs, one per scheduled event
+// (duplicates included).  A RouteTimeline (scenario/route_timeline.hpp)
+// applies each event to the fabric and lists the lanes it moved; the
+// runner writes their new labels -- including fresh segment lists when
+// a detour outgrows one 64-bit label -- into its lane columns at the
+// event's packet index (only pairs that lose connectivity are dropped
+// and counted).  A relabel therefore costs O(lanes affected), not
+// O(packets left in the stream).  The loss accounting (severed tails,
+// loss_window_per_recompile) is this runner's own.
 // Packets a hop cap kills mid-flight are reported as ttl_expired, never
 // as deliveries.
 
@@ -23,6 +26,7 @@
 #include "polka/fastpath.hpp"
 #include "polka/label.hpp"
 #include "scenario/fabric_builder.hpp"
+#include "scenario/route_timeline.hpp"
 #include "scenario/traffic.hpp"
 
 namespace hp::obs {
@@ -31,15 +35,6 @@ class TraceSink;
 }  // namespace hp::obs
 
 namespace hp::scenario {
-
-/// One scheduled duplex-link event: a failure, or -- when `restore` is
-/// set -- the link coming back up (flap schedules alternate the two).
-struct LinkFailure {
-  double at_fraction = 0.5;   ///< stream position in [0, 1)
-  netsim::NodeIndex a = 0;    ///< topology endpoints of the duplex link
-  netsim::NodeIndex b = 0;
-  bool restore = false;       ///< true: the link comes back up
-};
 
 struct RunnerOptions {
   unsigned threads = 1;          ///< worker count (0 behaves as 1)
@@ -165,27 +160,27 @@ struct LaneTable {
   [[nodiscard]] std::size_t size() const noexcept { return labels.size(); }
 };
 
-/// Owning, mutable copy of a stream's lane state: the columns of its
-/// TrafficPairs plus private copies of its segment pools, every lane
-/// alive and carrying a segment ref.  ScenarioRunner repairs routes in
-/// one of these, so the caller's stream is never touched.
+/// Owning, mutable copy of a stream's lane columns (its TrafficPairs),
+/// every lane alive and carrying a segment ref.  ScenarioRunner repairs
+/// routes in one of these, so the caller's stream is never touched.
+/// The segment pools the refs slice live elsewhere: the stream's own,
+/// or the private copy a RouteTimeline appends repaired routes to.
 struct LaneRoutes {
   std::vector<polka::RouteLabel> labels;
   std::vector<std::uint32_t> ingress;
   std::vector<polka::PacketResult> expected;
   std::vector<std::uint8_t> alive;
-  std::vector<polka::RouteLabel> seg_labels;
-  std::vector<std::uint32_t> seg_waypoints;
   std::vector<polka::SegmentRef> seg_refs;
 
   LaneRoutes() = default;
   explicit LaneRoutes(const PacketStream& stream);
 
-  /// Views of the current columns; valid until the next repair grows a
-  /// segment pool.
-  [[nodiscard]] LaneTable table() const noexcept {
+  /// Views of the current columns over the given segment pools.
+  [[nodiscard]] LaneTable table(
+      std::span<const polka::RouteLabel> pool_labels,
+      std::span<const std::uint32_t> pool_waypoints) const noexcept {
     return {labels, ingress, expected, alive,
-            {seg_labels, seg_waypoints, seg_refs}};
+            {pool_labels, pool_waypoints, seg_refs}};
   }
 };
 
@@ -206,7 +201,7 @@ ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
 
 /// Replays a stream over its fabric, applying the failure schedule.
 /// The stream is read-only: failures rewrite lane state in a run-local
-/// LaneRoutes.
+/// LaneRoutes, from a run-local RouteTimeline.
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(RunnerOptions options = {})

@@ -158,186 +158,106 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   }
 
   // --- play the failure schedule against the control plane ------------
-  // Each event takes the physical wires down (or up) at its tick and
-  // asks the fabric for the rerouted labels; a lane adopts its new
-  // route one control-plane latency later -- switchover_latency_ns for
-  // a hitless backup swap, repair_latency_ns for a recompile.  Packets
-  // the source emits before the adoption tick still carry the dead
-  // route and die at the wire: that gap, times the offered rate, IS the
-  // packets-lost-per-failure the reports compare.
-  struct RouteVersion {
-    Tick at = 0;  ///< adoption tick: injections at/after use this route
-    polka::RouteLabel label{};
-    polka::SegmentRef ref{};
-    polka::PacketResult expected{};
-  };
-  // Per-lane timeline of adopted failover routes (empty: base route).
-  std::vector<std::vector<RouteVersion>> versions(stream.pairs.size());
-  // Failure rewrites pool fresh segment lists on private copies -- the
-  // caller's stream is never mutated (contract of run()).
-  std::vector<polka::RouteLabel> pool_labels(stream.seg_labels.begin(),
-                                             stream.seg_labels.end());
-  std::vector<std::uint32_t> pool_waypoints(stream.seg_waypoints.begin(),
-                                            stream.seg_waypoints.end());
-  std::size_t swapped_pairs = 0;
-  std::size_t lazy_repairs = 0;
-  std::size_t unroutable_pairs = 0;
-  std::size_t window_recompiles = 0;
-  std::size_t rerouted_pairs = 0;
-  if (!options_.failures.empty() || options_.protection_k > 0) {
-    if (options_.protection_k > 0) {
-      (void)fabric.enable_protection(options_.protection_k);
-    }
-    std::unordered_map<std::uint64_t, std::uint32_t> lane_of;
-    for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
-      lane_of.emplace(netsim::node_pair_key(stream.pairs[lane].src,
-                                            stream.pairs[lane].dst),
-                      lane);
-    }
-    auto adopt =
-        [&](const std::vector<std::pair<netsim::NodeIndex,
-                                        netsim::NodeIndex>>& pairs,
-            Tick effective) {
-          std::size_t matched = 0;
-          for (const auto& [src, dst] : pairs) {
-            const auto it = lane_of.find(netsim::node_pair_key(src, dst));
-            if (it == lane_of.end()) continue;
-            const scenario::CompiledRoute* route = fabric.route(src, dst);
-            if (route == nullptr || route->segments.labels.empty()) continue;
-            RouteVersion v;
-            v.at = effective;
-            v.label = route->segments.labels.front();
-            v.ref = scenario::append_segments(pool_labels, pool_waypoints,
-                                              route->segments);
-            v.expected = route->expected;
-            versions[it->second].push_back(v);
-            ++matched;
-            ++rerouted_pairs;
-          }
-          return matched;
-        };
-    std::vector<scenario::LinkFailure> failures = options_.failures;
-    std::ranges::stable_sort(failures, {},
-                             &scenario::LinkFailure::at_fraction);
-    for (const scenario::LinkFailure& failure : failures) {
-      const double f = std::clamp(failure.at_fraction, 0.0, 1.0);
-      const Tick at = static_cast<Tick>(
-          std::llround(f * static_cast<double>(last_inject)));
-      const scenario::FailoverReport ev =
-          failure.restore ? fabric.restore_link(failure.a, failure.b)
-                          : fabric.apply_failure(failure.a, failure.b);
-      if (ev.duplicate) continue;
-      for (const std::uint64_t key :
-           {netsim::node_pair_key(failure.a, failure.b),
-            netsim::node_pair_key(failure.b, failure.a)}) {
-        if (const auto it = channel_of.find(key); it != channel_of.end()) {
-          sim.schedule_link_state(at, it->second, failure.restore);
-        }
-      }
-      swapped_pairs += adopt(ev.swapped, at + options_.switchover_latency_ns);
-      (void)adopt(ev.repaired, at + options_.repair_latency_ns);
-      window_recompiles += ev.window_recompiles;
-      scenario::FailoverReport lazy;
-      if (fabric.pending_repair_count() > 0) {
-        lazy = fabric.repair_pending();
-        lazy_repairs += adopt(lazy.repaired, at + options_.repair_latency_ns);
-      }
-      for (const auto* list :
-           {&ev.unroutable, &std::as_const(lazy).unroutable}) {
-        for (const auto& [src, dst] : *list) {
-          if (lane_of.contains(netsim::node_pair_key(src, dst))) {
-            ++unroutable_pairs;
-          }
-        }
+  // Each event takes the physical wires down (or up) at its tick; a
+  // lane the event moved adopts its new route one control-plane
+  // latency later -- switchover_latency_ns for a hitless backup swap,
+  // repair_latency_ns for a recompile.  Packets the source emits before
+  // the adoption tick still carry the dead route and die at the wire:
+  // that gap, times the offered rate, IS the packets-lost-per-failure
+  // the reports compare.  Each lane's timeline starts with its base
+  // route at tick 0.
+  std::vector<std::vector<RouteEpoch>> epochs(stream.pairs.size());
+  for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
+    const scenario::TrafficPair& pair = stream.pairs[lane];
+    epochs[lane].push_back(
+        {0, pair.label,
+         lane < stream.seg_refs.size() ? stream.seg_refs[lane]
+                                       : polka::SegmentRef{},
+         pair.expected});
+  }
+  scenario::RouteTimeline timeline(fabric, stream, options_.failures,
+                                   options_.protection_k);
+  SimReport report;
+  scenario::ScenarioReport& fwd = report.forwarding;
+  for (const scenario::LinkFailure& failure : timeline.schedule()) {
+    const Tick at = scenario::RouteTimeline::position(failure, last_inject);
+    const scenario::RouteEvent ev = timeline.apply(failure);
+    if (ev.report.duplicate) continue;
+    for (const std::uint64_t key :
+         {netsim::node_pair_key(failure.a, failure.b),
+          netsim::node_pair_key(failure.b, failure.a)}) {
+      if (const auto it = channel_of.find(key); it != channel_of.end()) {
+        sim.schedule_link_state(at, it->second, failure.restore);
       }
     }
-    // Events land in tick order but the two control-plane latencies can
-    // interleave adoptions; keep each lane's timeline sorted.
-    for (auto& timeline : versions) {
-      std::ranges::stable_sort(timeline, {}, &RouteVersion::at);
+    fwd.window_recompiles += ev.report.window_recompiles;
+    for (const scenario::LaneChange& change : ev.changes) {
+      using Kind = scenario::LaneChange::Kind;
+      if (change.kind == Kind::kUnroutable) ++fwd.unroutable_pairs;
+      if (!change.route) continue;
+      ++fwd.rerouted_pairs;
+      if (change.kind == Kind::kSwap) ++fwd.backup_swapped_pairs;
+      if (change.kind == Kind::kLazy) ++fwd.lazy_repaired_pairs;
+      const Tick latency = change.kind == Kind::kSwap
+                               ? options_.switchover_latency_ns
+                               : options_.repair_latency_ns;
+      const scenario::LaneRoute& route = *change.route;
+      epochs[change.lane].push_back(
+          {at + latency, route.label, route.ref, route.expected});
     }
   }
-  sim.set_segment_pool(pool_labels, pool_waypoints);
+  // Events land in tick order but the two control-plane latencies can
+  // interleave adoptions; keep each lane's timeline sorted.
+  for (auto& timeline_of_lane : epochs) {
+    std::ranges::stable_sort(timeline_of_lane, {}, &RouteEpoch::from);
+  }
+  sim.set_segment_pool(timeline.seg_labels(), timeline.seg_waypoints());
 
   std::optional<Transport> transport;
   if (options_.transport.enabled) {
     // --- closed loop: hand the flows to the transport ------------------
     // One transport lane per traffic pair, carrying the pair's route
-    // timeline (base route at tick 0, then every adopted failover
-    // version); sends resolve their epoch at the send tick, so a
+    // timeline; sends resolve their epoch at the send tick, so a
     // retransmit issued after adoption carries the repaired label.
     transport.emplace(sim, options_.transport, options_.packet_bytes,
                       registry);
-    constexpr auto kNoLane = std::numeric_limits<std::uint32_t>::max();
-    std::vector<std::uint8_t> has_flows(stream.pairs.size(), 0);
-    for (const FlowDef& def : flow_defs) has_flows[def.lane] = 1;
-    std::vector<std::uint32_t> tp_lane(stream.pairs.size(), kNoLane);
-    for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
-      if (has_flows[lane] == 0) continue;  // pair without packets
-      std::vector<RouteEpoch> epochs;
-      RouteEpoch base;
-      base.from = 0;
-      base.label = stream.pairs[lane].label;
-      base.ref = lane < stream.seg_refs.size() ? stream.seg_refs[lane]
-                                               : polka::SegmentRef{};
-      base.expected = stream.pairs[lane].expected;
-      epochs.push_back(base);
-      for (const RouteVersion& v : versions[lane]) {
-        epochs.push_back({v.at, v.label, v.ref, v.expected});
-      }
-      tp_lane[lane] = transport->add_lane(std::move(epochs));
+    std::size_t epoch_count = 0;
+    for (const FlowDef& def : flow_defs) epoch_count += epochs[def.lane].size();
+    transport->reserve(flow_defs.size(), stream.size(), epoch_count);
+    for (std::vector<RouteEpoch>& lane : epochs) {
+      (void)transport->add_lane(std::move(lane));
     }
-    std::size_t epochs = 0;
     for (const FlowDef& def : flow_defs) {
-      epochs += 1 + versions[def.lane].size();
-    }
-    transport->reserve(flow_defs.size(), stream.size(), epochs);
-    for (const FlowDef& def : flow_defs) {
-      (void)transport->add_flow(tp_lane[def.lane], def.source, def.start,
-                                src_gap, def.packets);
+      (void)transport->add_flow(def.lane, def.source, def.start, src_gap,
+                                def.packets);
     }
     transport->arm();
   } else {
     // --- pass 2: register flows and inject ---------------------------
-    // Identical to pass 1 except that a lane whose route version
-    // changed (by adoption tick) force-opens a new flow: the new
-    // route's hop count changes the delivery expectation, and a flow's
-    // expectation is fixed at registration.  Forced flows keep the
-    // lane's cadence, so the packet timing stays exactly pass 1's.
-    auto version_of = [&](std::uint32_t lane,
-                          Tick at) -> const RouteVersion* {
-      const RouteVersion* best = nullptr;
-      for (const RouteVersion& v : versions[lane]) {  // timelines are tiny
-        if (v.at <= at) best = &v;
-      }
-      return best;
-    };
+    // Identical to pass 1 except that a lane whose route epoch changed
+    // (by adoption tick) force-opens a new flow: the new route's hop
+    // count changes the delivery expectation, and a flow's expectation
+    // is fixed at registration.  Forced flows keep the lane's cadence,
+    // so the packet timing stays exactly pass 1's.
     constexpr auto kClosed = std::numeric_limits<std::uint32_t>::max();
     struct OpenFlow {
       std::uint32_t handle = kClosed;
       std::size_t injected = 0;
-      const RouteVersion* version = nullptr;
+      std::size_t epoch = 0;
     };
     std::vector<OpenFlow> open(stream.pairs.size());  // lane -> open flow
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const std::uint32_t lane = stream.pair[i];
-      const scenario::TrafficPair& pair = stream.pairs[lane];
       const Tick at = inject_at[i];
-      const RouteVersion* ver = version_of(lane, at);
+      const std::size_t e = epoch_at(epochs[lane], at);
+      const RouteEpoch& epoch = epochs[lane][e];
       OpenFlow& flow = open[lane];
       if (flow.handle == kClosed ||
-          flow.injected >= options_.flow_packets || flow.version != ver) {
-        flow = OpenFlow{
-            sim.add_flow(ver != nullptr ? ver->expected : pair.expected), 0,
-            ver};
+          flow.injected >= options_.flow_packets || flow.epoch != e) {
+        flow = OpenFlow{sim.add_flow(epoch.expected), 0, e};
       }
-      const polka::RouteLabel label = ver != nullptr ? ver->label : pair.label;
-      const polka::SegmentRef ref =
-          ver != nullptr
-              ? ver->ref
-              : (lane < stream.seg_refs.size() ? stream.seg_refs[lane]
-                                               : polka::SegmentRef{});
-      sim.inject(at, label, ref, pair.ingress, flow.handle);
+      sim.inject(at, epoch.label, epoch.ref, stream.pairs[lane].ingress,
+                 flow.handle);
       ++flow.injected;
     }
   }
@@ -350,25 +270,19 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   phase.emplace(options_.trace, "sim.report", "sim");
 
   // --- shape the result into the report -------------------------------
-  SimReport report;
-  report.forwarding.fold_kernel = fast.kernel();
-  report.forwarding.packets =
-      result.counters.delivered + result.counters.ttl_expired;
-  report.forwarding.mod_operations = result.counters.mod_operations;
-  report.forwarding.wrong_egress = result.counters.wrong_egress;
-  report.forwarding.dropped_packets = result.counters.dropped;
-  report.forwarding.ttl_expired = result.counters.ttl_expired;
-  report.forwarding.segmented_packets = result.counters.segmented_packets;
-  report.forwarding.segment_swaps = result.counters.segment_swaps;
-  report.forwarding.rerouted_pairs = rerouted_pairs;
-  report.forwarding.backup_swapped_pairs = swapped_pairs;
-  report.forwarding.failover_packets_lost = result.counters.failover_lost;
-  report.forwarding.unroutable_pairs = unroutable_pairs;
-  report.forwarding.lazy_repaired_pairs = lazy_repairs;
-  report.forwarding.window_recompiles = window_recompiles;
+  // (The failover pair counts were filled in as the schedule played.)
+  fwd.fold_kernel = fast.kernel();
+  fwd.packets = result.counters.delivered + result.counters.ttl_expired;
+  fwd.mod_operations = result.counters.mod_operations;
+  fwd.wrong_egress = result.counters.wrong_egress;
+  fwd.dropped_packets = result.counters.dropped;
+  fwd.ttl_expired = result.counters.ttl_expired;
+  fwd.segmented_packets = result.counters.segmented_packets;
+  fwd.segment_swaps = result.counters.segment_swaps;
+  fwd.failover_packets_lost = result.counters.failover_lost;
   report.duration_ns = result.counters.end_ns;
   // Simulated seconds (deterministic), not wall clock: see SimReport.
-  report.forwarding.seconds = static_cast<double>(report.duration_ns) * 1e-9;
+  fwd.seconds = static_cast<double>(report.duration_ns) * 1e-9;
   report.ecn_marked = result.counters.ecn_marked;
   obs::Histogram* fct_hist =
       registry != nullptr ? &registry->histogram("sim.fct_ns") : nullptr;
@@ -399,11 +313,13 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     registry->counter("sim.flows").add(report.flows);
     registry->counter("sim.completed_flows").add(report.completed_flows);
     if (!options_.failures.empty() || options_.protection_k > 0) {
-      registry->counter("sim.failover.swaps").add(swapped_pairs);
-      registry->counter("sim.failover.lazy_repairs").add(lazy_repairs);
-      registry->counter("sim.failover.unroutable_pairs").add(unroutable_pairs);
+      registry->counter("sim.failover.swaps").add(fwd.backup_swapped_pairs);
+      registry->counter("sim.failover.lazy_repairs")
+          .add(fwd.lazy_repaired_pairs);
+      registry->counter("sim.failover.unroutable_pairs")
+          .add(fwd.unroutable_pairs);
       registry->counter("sim.failover.window_recompiles")
-          .add(window_recompiles);
+          .add(fwd.window_recompiles);
     }
     if (transport.has_value()) {
       const TransportReport& tp = report.transport;

@@ -21,6 +21,13 @@
 // (hotspot incast, elephant collisions), a generous gap drains them
 // one by one.
 //
+// Failures: a RouteTimeline (scenario/route_timeline.hpp) applies each
+// scheduled event to the fabric, exactly as in replay.  The runner maps
+// the event onto a tick of the injection window, takes its channels
+// down (or up) there, and gives every lane the event moved a new
+// RouteEpoch one control-plane latency later; open-loop injection and
+// the Transport both resolve a send's route with epoch_at.
+//
 // Simulation is single-threaded by design: one event queue, one total
 // event order, bit-identical reports for a fixed seed regardless of
 // how many threads the surrounding process uses (the determinism

@@ -17,6 +17,14 @@ constexpr std::uint32_t kOpen = 1u << 31;
 
 }  // namespace
 
+std::size_t epoch_at(const std::vector<RouteEpoch>& epochs, Tick at) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < epochs.size(); ++i) {  // timelines are tiny
+    if (epochs[i].from <= at) best = i;
+  }
+  return best;
+}
+
 Transport::Transport(PacketSim& sim, TransportOptions options,
                      std::uint64_t packet_bytes, obs::MetricRegistry* metrics)
     : sim_(sim), options_(options), packet_bytes_(packet_bytes) {
@@ -41,11 +49,9 @@ std::uint32_t Transport::add_lane(std::vector<RouteEpoch> epochs) {
     throw std::invalid_argument(
         "Transport::add_lane: timeline must start with a from=0 epoch");
   }
-  for (std::size_t i = 1; i < epochs.size(); ++i) {
-    if (epochs[i - 1].from > epochs[i].from) {
-      throw std::invalid_argument(
-          "Transport::add_lane: epochs must be sorted by adoption tick");
-    }
+  if (!std::ranges::is_sorted(epochs, {}, &RouteEpoch::from)) {
+    throw std::invalid_argument(
+        "Transport::add_lane: epochs must be sorted by adoption tick");
   }
   lanes_.push_back(std::move(epochs));
   return static_cast<std::uint32_t>(lanes_.size() - 1);
@@ -122,17 +128,6 @@ Tick Transport::rto_current(const Flow& f) const {
   return std::min(r, options_.rto_max_ns);
 }
 
-const RouteEpoch& Transport::epoch_at(const Flow& f, Tick at,
-                                      std::size_t* index) const {
-  const std::vector<RouteEpoch>& epochs = lanes_[f.lane];
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < epochs.size(); ++i) {  // timelines are tiny
-    if (epochs[i].from <= at) best = i;
-  }
-  *index = best;
-  return epochs[best];
-}
-
 std::uint32_t Transport::ensure_sim_flow(Flow& f, std::size_t epoch_index) {
   std::uint32_t& handle = sim_flow_[f.first_epoch + epoch_index];
   if (handle == kNone) {
@@ -179,8 +174,8 @@ void Transport::disarm_timer(Flow& f) { f.rto_armed = false; }
 void Transport::send_seq(Flow& f, std::uint32_t flow_index, std::uint32_t seq,
                          Tick t) {
   const Tick at = std::max(t, f.next_send);
-  std::size_t epoch_index = 0;
-  const RouteEpoch& epoch = epoch_at(f, at, &epoch_index);
+  const std::size_t epoch_index = epoch_at(lanes_[f.lane], at);
+  const RouteEpoch& epoch = lanes_[f.lane][epoch_index];
   const std::uint32_t handle = ensure_sim_flow(f, epoch_index);
   const std::uint32_t packet =
       sim_.inject(at, epoch.label, epoch.ref, f.source, handle);

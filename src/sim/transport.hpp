@@ -116,6 +116,12 @@ struct RouteEpoch {
   polka::PacketResult expected{};
 };
 
+/// Index of the epoch in force at `at` in a timeline sorted by `from`:
+/// the last one adopted at or before `at`, entry 0 when none was.
+/// Open-loop injection and Transport sends both resolve routes here.
+[[nodiscard]] std::size_t epoch_at(const std::vector<RouteEpoch>& epochs,
+                                   Tick at);
+
 /// The per-flow sender state machine.  Construct over a wired
 /// PacketSim, describe lanes (route-epoch timelines) and flows, then
 /// arm() once before PacketSim::run(): arming attaches the transport to
@@ -270,8 +276,6 @@ class Transport {
   void disarm_timer(Flow& f);
   [[nodiscard]] Tick rto_base(const Flow& f) const;
   [[nodiscard]] Tick rto_current(const Flow& f) const;
-  [[nodiscard]] const RouteEpoch& epoch_at(const Flow& f, Tick at,
-                                           std::size_t* index) const;
   std::uint32_t ensure_sim_flow(Flow& f, std::size_t epoch_index);
   void push_lost(Flow& f, std::uint32_t seq);
   std::uint32_t pop_lost(Flow& f);

@@ -16,12 +16,14 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/fabric_builder.hpp"
@@ -340,6 +342,54 @@ TEST(RouteTimeline, EdgeScheduleSplitsEveryReplayEpoch) {
   EXPECT_EQ(counts.slices, 12u);
   EXPECT_EQ(counts.failures, 2u);  // duplicates are not counted
   EXPECT_EQ(counts.restores, 2u);
+}
+
+// LinkFailure is public API.  A NaN at_fraction breaks the schedule
+// sort's ordering and, like +-inf, would land on an arbitrary packet
+// index or tick, so the shared timeline refuses it for both runners.
+std::vector<double> non_finite() {
+  return {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity()};
+}
+
+/// A valid event at 0.5 followed by one at `fraction`.
+std::vector<scenario::LinkFailure> schedule_at(
+    const hp::netsim::Topology& topo, double fraction) {
+  const hp::netsim::Link& link = topo.link(0);
+  return {{0.5, link.from, link.to, false},
+          {fraction, link.from, link.to, true}};
+}
+
+TEST(Contracts, ReplayRejectsNonFiniteFailureFraction) {
+  const scenario::ScenarioSpec spec = small_spec("torus4x4/permutation");
+  scenario::BuiltFabric fabric(scenario::build_topology(spec));
+  const scenario::PacketStream stream =
+      scenario::generate_traffic(fabric, spec.traffic);
+  for (const double fraction : non_finite()) {
+    SCOPED_TRACE(fraction);
+    scenario::RunnerOptions options;
+    options.failures = schedule_at(fabric.topology(), fraction);
+    EXPECT_THROW((void)scenario::ScenarioRunner(options).run(fabric, stream),
+                 hp::core::ContractViolation);
+  }
+}
+
+TEST(Contracts, SimRejectsNonFiniteFailureFraction) {
+  const scenario::ScenarioSpec spec = small_spec("torus4x4/permutation");
+  scenario::BuiltFabric fabric(scenario::build_topology(spec));
+  const scenario::PacketStream stream =
+      scenario::generate_traffic(fabric, spec.traffic);
+  for (const double fraction : non_finite()) {
+    SCOPED_TRACE(fraction);
+    for (const bool transport : {false, true}) {
+      sim::SimOptions options;
+      options.transport.enabled = transport;
+      options.failures = schedule_at(fabric.topology(), fraction);
+      EXPECT_THROW((void)sim::SimRunner(options).run(fabric, stream),
+                   hp::core::ContractViolation);
+    }
+  }
 }
 
 }  // namespace
