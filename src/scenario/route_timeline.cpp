@@ -15,8 +15,9 @@ RouteTimeline::RouteTimeline(BuiltFabric& fabric, const PacketStream& stream,
       seg_labels_(stream.seg_labels),
       seg_waypoints_(stream.seg_waypoints) {
   for (const LinkFailure& failure : schedule_) {
-    // A NaN would break the sort's ordering and turn into an arbitrary
-    // packet index or tick below.
+    // A NaN breaks the sort's ordering and passes position()'s clamp
+    // unchanged (llround of NaN is unspecified); an infinite fraction
+    // names no stream position either.
     HP_CHECK(std::isfinite(failure.at_fraction),
              "LinkFailure: at_fraction must be finite");
   }
