@@ -1,10 +1,10 @@
 #include "netsim/paths.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 namespace hp::netsim {
@@ -23,69 +23,25 @@ double link_weight(const Link& link, PathMetric metric) {
 
 namespace {
 
-/// Dijkstra with per-call banned nodes/links (the Yen spur machinery).
-std::optional<Path> dijkstra(const Topology& topo, NodeIndex src,
-                             NodeIndex dst, PathMetric metric,
-                             const std::set<NodeIndex>& banned_nodes,
-                             const std::set<LinkIndex>& banned_links) {
-  const std::size_t n = topo.node_count();
-  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-  std::vector<LinkIndex> via(n, kInvalidIndex);
-  using QueueEntry = std::pair<double, NodeIndex>;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
-      frontier;
-  dist[src] = 0.0;
-  frontier.emplace(0.0, src);
-  while (!frontier.empty()) {
-    const auto [d, u] = frontier.top();
-    frontier.pop();
-    if (d > dist[u]) continue;
-    if (u == dst) break;
-    // Hosts do not forward: they may start a path but not extend one.
-    if (u != src && topo.node(u).kind == NodeKind::kHost) continue;
-    for (const LinkIndex l : topo.outgoing(u)) {
-      if (banned_links.contains(l)) continue;
-      const Link& link = topo.link(l);
-      if (banned_nodes.contains(link.to)) continue;
-      const double nd = d + link_weight(link, metric);
-      if (nd < dist[link.to]) {
-        dist[link.to] = nd;
-        via[link.to] = l;
-        frontier.emplace(nd, link.to);
-      }
-    }
-  }
-  if (via[dst] == kInvalidIndex && src != dst) {
-    if (!std::isfinite(dist[dst])) return std::nullopt;
-  }
-  Path path;
-  for (NodeIndex cur = dst; cur != src;) {
-    const LinkIndex l = via[cur];
-    if (l == kInvalidIndex) return std::nullopt;
-    path.push_back(l);
-    cur = topo.link(l).from;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-}  // namespace
-
-PathTree shortest_path_tree(const Topology& topo, NodeIndex src,
-                            PathMetric metric,
-                            const std::vector<LinkIndex>& banned) {
-  const std::size_t n = topo.node_count();
-  if (src >= n) {
-    throw std::out_of_range("shortest_path_tree: bad node index");
-  }
-  std::vector<char> is_banned(topo.link_count(), 0);
-  for (const LinkIndex l : banned) {
-    if (l < is_banned.size()) is_banned[l] = 1;
+/// The one Dijkstra every search runs.  Links marked in `link_down` and
+/// edges into nodes marked in `node_banned` are skipped (an empty mask
+/// bans nothing).  With `stop` set, the search ends when it settles
+/// `stop`, whose path is final by then.  The frontier orders by
+/// (dist, node index) and relaxes on a strict `<`, so among equal-weight
+/// paths the first settled predecessor wins.  Throws
+/// std::invalid_argument for a non-empty `link_down` that does not
+/// cover exactly every link.
+PathTree search(const Topology& topo, NodeIndex src, PathMetric metric,
+                std::span<const char> link_down,
+                std::span<const char> node_banned,
+                NodeIndex stop = kInvalidIndex) {
+  if (!link_down.empty() && link_down.size() != topo.link_count()) {
+    throw std::invalid_argument("path search: mask size != link_count()");
   }
   PathTree tree;
   tree.src = src;
-  tree.dist.assign(n, std::numeric_limits<double>::infinity());
-  tree.via.assign(n, kInvalidIndex);
+  tree.dist.assign(topo.node_count(), std::numeric_limits<double>::infinity());
+  tree.via.assign(topo.node_count(), kInvalidIndex);
   using QueueEntry = std::pair<double, NodeIndex>;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
       frontier;
@@ -95,10 +51,13 @@ PathTree shortest_path_tree(const Topology& topo, NodeIndex src,
     const auto [d, u] = frontier.top();
     frontier.pop();
     if (d > tree.dist[u]) continue;
+    if (u == stop) break;
+    // Hosts do not forward: they may start a path but not extend one.
     if (u != src && topo.node(u).kind == NodeKind::kHost) continue;
     for (const LinkIndex l : topo.outgoing(u)) {
-      if (is_banned[l]) continue;
+      if (!link_down.empty() && link_down[l] != 0) continue;
       const Link& link = topo.link(l);
+      if (!node_banned.empty() && node_banned[link.to] != 0) continue;
       const double nd = d + link_weight(link, metric);
       if (nd < tree.dist[link.to]) {
         tree.dist[link.to] = nd;
@@ -108,6 +67,17 @@ PathTree shortest_path_tree(const Topology& topo, NodeIndex src,
     }
   }
   return tree;
+}
+
+}  // namespace
+
+PathTree shortest_path_tree(const Topology& topo, NodeIndex src,
+                            PathMetric metric,
+                            std::span<const char> link_down) {
+  if (src >= topo.node_count()) {
+    throw std::out_of_range("shortest_path_tree: bad node index");
+  }
+  return search(topo, src, metric, link_down, {});
 }
 
 std::optional<Path> tree_path(const PathTree& tree, const Topology& topo,
@@ -143,8 +113,7 @@ std::optional<Path> shortest_path(const Topology& topo, NodeIndex src,
   if (src >= topo.node_count() || dst >= topo.node_count()) {
     throw std::out_of_range("shortest_path: bad node index");
   }
-  if (src == dst) return Path{};
-  return dijkstra(topo, src, dst, metric, {}, {});
+  return tree_path(search(topo, src, metric, {}, {}, dst), topo, dst);
 }
 
 double path_weight(const Topology& topo, const Path& path,
@@ -152,6 +121,12 @@ double path_weight(const Topology& topo, const Path& path,
   double total = 0.0;
   for (const LinkIndex l : path) total += link_weight(topo.link(l), metric);
   return total;
+}
+
+bool path_is_up(const Path& path, std::span<const char> link_down) {
+  return std::ranges::none_of(path, [&](LinkIndex l) {
+    return l < link_down.size() && link_down[l] != 0;
+  });
 }
 
 std::vector<NodeIndex> path_nodes(const Topology& topo, const Path& path) {
@@ -181,30 +156,30 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeIndex src,
   };
   std::set<Path, decltype(cmp)> candidates(cmp);
 
+  // Spur-search bans: root nodes keep paths loopless; links that would
+  // recreate an already-found path with the same root.
+  std::vector<char> link_banned(topo.link_count(), 0);
+  std::vector<char> node_banned(topo.node_count(), 0);
   while (result.size() < k) {
     const Path& previous = result.back();
     const auto prev_nodes = path_nodes(topo, previous);
+    std::ranges::fill(node_banned, 0);
     // Spur from every node of the previous path (except the last).
     for (std::size_t i = 0; i + 1 < prev_nodes.size(); ++i) {
       const NodeIndex spur = prev_nodes[i];
+      if (i > 0) node_banned[prev_nodes[i - 1]] = 1;
       const Path root(previous.begin(),
                       previous.begin() + static_cast<std::ptrdiff_t>(i));
-
-      // Ban links that would recreate an already-found path with this
-      // root, and ban root nodes to keep paths loopless.
-      std::set<LinkIndex> banned_links;
+      std::ranges::fill(link_banned, 0);
       for (const Path& found : result) {
         if (found.size() > i &&
             std::equal(root.begin(), root.end(), found.begin())) {
-          banned_links.insert(found[i]);
+          link_banned[found[i]] = 1;
         }
       }
-      std::set<NodeIndex> banned_nodes(prev_nodes.begin(),
-                                       prev_nodes.begin() +
-                                           static_cast<std::ptrdiff_t>(i));
-
       const auto spur_path =
-          dijkstra(topo, spur, dst, metric, banned_nodes, banned_links);
+          tree_path(search(topo, spur, metric, link_banned, node_banned, dst),
+                    topo, dst);
       if (!spur_path) continue;
       Path total = root;
       total.insert(total.end(), spur_path->begin(), spur_path->end());
@@ -222,24 +197,27 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeIndex src,
 std::vector<Path> k_disjoint_paths(const Topology& topo, NodeIndex src,
                                    NodeIndex dst, std::size_t k,
                                    PathMetric metric,
-                                   const std::vector<LinkIndex>& banned) {
+                                   std::span<const char> link_down) {
   if (src >= topo.node_count() || dst >= topo.node_count()) {
     throw std::out_of_range("k_disjoint_paths: bad node index");
   }
   std::vector<Path> result;
   if (k == 0 || src == dst) return result;
-  // Iterative Dijkstra with an accumulating ban set: each found path
-  // retires its links (both directions) before the next search, so the
-  // results are mutually duplex-link-disjoint by construction.
-  std::set<LinkIndex> banned_links(banned.begin(), banned.end());
+  // Iterative Dijkstra over an accumulating private copy of the mask
+  // (the search checks its size): each found path retires its links
+  // (both directions) before the next search, so the results are
+  // mutually duplex-link-disjoint by construction.
+  std::vector<char> banned(link_down.begin(), link_down.end());
+  if (banned.empty()) banned.resize(topo.link_count(), 0);
   while (result.size() < k) {
-    auto path = dijkstra(topo, src, dst, metric, {}, banned_links);
+    auto path =
+        tree_path(search(topo, src, metric, banned, {}, dst), topo, dst);
     if (!path || path->empty()) break;
     for (const LinkIndex l : *path) {
-      banned_links.insert(l);
+      banned[l] = 1;
       const Link& link = topo.link(l);
       if (const auto rev = topo.link_between(link.to, link.from)) {
-        banned_links.insert(*rev);
+        banned[*rev] = 1;
       }
     }
     result.push_back(std::move(*path));

@@ -1,6 +1,12 @@
 #pragma once
-// Path computation over the topology: Dijkstra shortest path and Yen's
-// k-shortest loopless paths.
+// Path computation over the topology: shortest paths, shortest-path
+// trees, Yen's k-shortest loopless paths and link-disjoint protection
+// sets.  All of them run one Dijkstra, which skips the links marked in
+// a failed-link mask: a std::span<const char> indexed by LinkIndex
+// whose nonzero entries are down.  A mask is either empty (nothing is
+// down) or exactly link_count() long; any other size throws
+// std::invalid_argument, so a stale or foreign mask cannot silently
+// route over a link its caller meant to ban.
 //
 // The paper hand-plans its three tunnels; a Path Computation Element
 // (Section I) must derive candidate paths itself, and Section II-A
@@ -9,6 +15,7 @@
 // scale-sweep bench its machinery.
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netsim/topology.hpp"
@@ -43,12 +50,13 @@ struct PathTree {
 };
 
 /// Dijkstra to every destination.  Host nodes never transit (same rule
-/// as shortest_path); links in `banned` are skipped, which is how the
-/// scenario engine routes around scheduled link failures.
+/// as shortest_path); links marked in `link_down` (the failed-link mask,
+/// empty or link_count() long) are skipped, which is how the scenario
+/// engine routes around scheduled link failures.
 [[nodiscard]] PathTree shortest_path_tree(
     const Topology& topo, NodeIndex src,
     PathMetric metric = PathMetric::kDelay,
-    const std::vector<LinkIndex>& banned = {});
+    std::span<const char> link_down = {});
 
 /// Extract the src -> dst path from a tree; nullopt when unreachable,
 /// empty path when dst == src.
@@ -76,17 +84,24 @@ struct PathTree {
 /// *both* directions are banned for later paths -- so any returned
 /// path survives the duplex failure of every link the paths before it
 /// used.  This is the protection-set planner: a primary plus the paths
-/// returned with its links in `banned` form a 1:k protected pair.
-/// Links in `banned` are excluded from every path.  Returns fewer than
-/// `k` paths when the graph runs out of disjoint alternatives.
+/// returned with its links marked in `link_down` form a 1:k protected
+/// pair.  Links marked in `link_down` (the failed-link mask, empty or
+/// link_count() long) are excluded from every path; the caller's mask
+/// is not modified.  Returns fewer than `k` paths when the graph runs
+/// out of disjoint alternatives.
 [[nodiscard]] std::vector<Path> k_disjoint_paths(
     const Topology& topo, NodeIndex src, NodeIndex dst, std::size_t k,
     PathMetric metric = PathMetric::kDelay,
-    const std::vector<LinkIndex>& banned = {});
+    std::span<const char> link_down = {});
 
 /// Total weight of a path under a metric.
 [[nodiscard]] double path_weight(const Topology& topo, const Path& path,
                                  PathMetric metric);
+
+/// True when no link of `path` is marked in the failed-link mask
+/// `link_down` (as for the searches, an empty mask marks nothing).
+[[nodiscard]] bool path_is_up(const Path& path,
+                              std::span<const char> link_down);
 
 /// The node sequence a path visits (src first).
 [[nodiscard]] std::vector<NodeIndex> path_nodes(const Topology& topo,

@@ -1,5 +1,6 @@
 #include "netsim/topology.hpp"
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -23,10 +24,14 @@ LinkIndex Topology::add_duplex_link(NodeIndex a, NodeIndex b,
     throw std::out_of_range("Topology: bad node index");
   }
   if (a == b) throw std::invalid_argument("Topology: self link");
-  if (capacity_mbps <= 0.0) {
+  // Written so NaN fails each test: these are path-search weights.
+  if (!(capacity_mbps > 0.0) || !std::isfinite(capacity_mbps)) {
     throw std::invalid_argument("Topology: capacity must be positive");
   }
-  if (loss_rate < 0.0 || loss_rate >= 1.0) {
+  if (!(delay_ms >= 0.0) || !std::isfinite(delay_ms)) {
+    throw std::invalid_argument("Topology: delay must be finite, >= 0");
+  }
+  if (!(loss_rate >= 0.0 && loss_rate < 1.0)) {
     throw std::invalid_argument("Topology: loss rate in [0,1)");
   }
   const LinkIndex fwd = links_.size();

@@ -65,7 +65,9 @@ class Topology {
 
   /// Add a duplex link (two directed links with the same parameters);
   /// returns the index of the forward direction (the reverse is always
-  /// the next index).
+  /// the next index).  Throws std::invalid_argument unless the capacity
+  /// is finite and positive, the delay finite and non-negative (both
+  /// are path-search weights) and the loss rate in [0, 1).
   LinkIndex add_duplex_link(NodeIndex a, NodeIndex b, double capacity_mbps,
                             double delay_ms, double loss_rate = 0.0);
 

@@ -97,7 +97,7 @@ const netsim::PathTree& BuiltFabric::tree_for(NodeIndex src) {
     it = trees_
              .emplace(src, netsim::shortest_path_tree(
                                topo_, src, netsim::PathMetric::kHopCount,
-                               banned_links_))
+                               link_down_))
              .first;
     ++stats_.trees_built;
   }
@@ -319,7 +319,7 @@ std::size_t BuiltFabric::compile_all_pairs(unsigned threads) {
         tree = &it->second;
       } else {
         out.fresh = netsim::shortest_path_tree(
-            topo_, src, netsim::PathMetric::kHopCount, banned_links_);
+            topo_, src, netsim::PathMetric::kHopCount, link_down_);
         tree = &*out.fresh;
       }
       compile_tree_routes(*tree, nullptr, nullptr, out.routes, out.crt_steps);
@@ -430,12 +430,12 @@ std::size_t BuiltFabric::protect_pair(RouteKey key,
   const auto [src, dst] = netsim::node_pair_from_key(key);
   // Disjoint alternates: ban the primary's links (both directions) on
   // top of everything already failed, then peel off k disjoint paths.
-  std::vector<netsim::LinkIndex> banned = banned_links_;
+  std::vector<char> banned = link_down_;
   for (const netsim::LinkIndex l : primary.path) {
-    banned.push_back(l);
+    banned[l] = 1;
     const netsim::Link& link = topo_.link(l);
     if (const auto rev = topo_.link_between(link.to, link.from)) {
-      banned.push_back(*rev);
+      banned[*rev] = 1;
     }
   }
   const auto paths = netsim::k_disjoint_paths(
@@ -524,8 +524,6 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
     return report;
   }
   const CompileStats before = stats_;
-  banned_links_.push_back(*fwd);
-  banned_links_.push_back(*rev);
   link_down_[*fwd] = 1;
   link_down_[*rev] = 1;
 
@@ -555,11 +553,7 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
       }
       // activate() only returns fully-live candidates; a backup that
       // still crosses the link we just banned would re-sever the pair.
-      HP_DCHECK(std::ranges::none_of(backup->path,
-                                     [&](netsim::LinkIndex l) {
-                                       return l < link_down_.size() &&
-                                              link_down_[l] != 0;
-                                     }),
+      HP_DCHECK(netsim::path_is_up(backup->path, link_down_),
                 "apply_failure: activated backup crosses a dead link");
       CompiledRoute route;
       route.segments = backup->segments;
@@ -657,8 +651,6 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
   }
   link_down_[*fwd] = 0;
   link_down_[*rev] = 0;
-  std::erase(banned_links_, *fwd);
-  std::erase(banned_links_, *rev);
   // Any cached tree may now be improvable by the revived link; flush
   // them all (rebuilt lazily).  Cached routes stay valid -- their
   // paths still exist -- they are just possibly no longer shortest.
@@ -670,10 +662,9 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
     // routes revive here without any recompile.
     std::vector<RouteKey> revived;
     for (const auto& [key, primary] : saved_primary_) {
-      const bool alive = std::ranges::none_of(
-          primary.path,
-          [&](netsim::LinkIndex l) { return link_down_[l] != 0; });
-      if (alive) revived.push_back(key);
+      if (netsim::path_is_up(primary.path, link_down_)) {
+        revived.push_back(key);
+      }
     }
     std::ranges::sort(revived);
     for (const RouteKey key : revived) {
@@ -695,6 +686,14 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
   }
   note_compile("restore_link", stats_, t0);
   return report;
+}
+
+std::vector<netsim::LinkIndex> BuiltFabric::failed_links() const {
+  std::vector<netsim::LinkIndex> out;
+  for (netsim::LinkIndex l = 0; l < link_down_.size(); ++l) {
+    if (link_down_[l] != 0) out.push_back(l);
+  }
+  return out;
 }
 
 std::vector<std::pair<NodeIndex, NodeIndex>> BuiltFabric::fail_link(

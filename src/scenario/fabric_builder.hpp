@@ -223,11 +223,9 @@ class BuiltFabric {
   std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>> fail_link(
       netsim::NodeIndex a, netsim::NodeIndex b);
 
-  /// Directed links currently excluded from path computation.
-  [[nodiscard]] const std::vector<netsim::LinkIndex>& failed_links()
-      const noexcept {
-    return banned_links_;
-  }
+  /// Directed links currently excluded from path computation, in
+  /// ascending order (read off link_down_).
+  [[nodiscard]] std::vector<netsim::LinkIndex> failed_links() const;
 
   /// Attach observability taps (borrowed, both optional; nullptr
   /// detaches).  With metrics set, every compile entry point (route,
@@ -309,10 +307,10 @@ class BuiltFabric {
   /// Per fabric node: deg(nodeID), driving the segment-cut rule (a
   /// segment closes when its accumulated modulus degree would pass 64).
   std::vector<int> node_degree_;
-  std::vector<netsim::LinkIndex> banned_links_;
-  /// Per directed link: 1 while failed.  The O(1) form of
-  /// banned_links_, sized at construction, consulted by backup
-  /// selection and restore reverts.
+  /// Per directed link: 1 while failed.  The one record of failed
+  /// links, sized at construction: it is the failed-link mask every
+  /// path search takes, and backup selection and restore reverts test
+  /// paths against it.
   std::vector<char> link_down_;
   unsigned protection_k_ = 0;
   BackupTable backups_;

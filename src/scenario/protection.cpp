@@ -1,9 +1,9 @@
 #include "scenario/protection.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/contracts.hpp"
+#include "netsim/paths.hpp"
 
 namespace hp::scenario {
 
@@ -42,11 +42,7 @@ const BackupRoute* BackupTable::activate(PairKey pair,
   if (it == pairs_.end()) return nullptr;
   PairProtection& p = it->second;
   for (std::size_t i = 0; i < p.backups.size(); ++i) {
-    const bool dead = std::ranges::any_of(
-        p.backups[i].path, [&](netsim::LinkIndex l) {
-          return l < link_down.size() && link_down[l] != 0;
-        });
-    if (dead) continue;
+    if (!netsim::path_is_up(p.backups[i].path, link_down)) continue;
     p.active = i;
     HP_DCHECK(p.active < p.backups.size(),
               "BackupTable::activate: active index out of range");

@@ -149,7 +149,9 @@ TEST(KDisjoint, BannedLinksExcludedFromEveryPath) {
     ring_links.push_back(topo.add_duplex_link(i, (i + 1) % 4, 100.0, 1.0));
   }
   // Kill r0->r1 in both directions; the 0 -> 2 route must go via r3.
-  const std::vector<LinkIndex> banned{ring_links[0], ring_links[0] + 1};
+  std::vector<char> banned(topo.link_count(), 0);
+  banned[ring_links[0]] = 1;
+  banned[ring_links[0] + 1] = 1;
   const auto paths =
       k_disjoint_paths(topo, 0, 2, 3, PathMetric::kHopCount, banned);
   ASSERT_EQ(paths.size(), 1U);
@@ -157,6 +159,40 @@ TEST(KDisjoint, BannedLinksExcludedFromEveryPath) {
     EXPECT_NE(undirected(topo, idx), undirected(topo, ring_links[0]));
   }
   EXPECT_TRUE(k_disjoint_paths(topo, 0, 2, 0).empty());
+}
+
+TEST(LinkMask, WrongSizeThrowsInsteadOfDroppingBans) {
+  // A mask shorter or longer than link_count() (stale, or from another
+  // topology) must not silently route over links it meant to ban.
+  Topology topo;
+  for (int i = 0; i < 4; ++i) topo.add_node("r" + std::to_string(i));
+  for (NodeIndex i = 0; i < 4; ++i) {
+    topo.add_duplex_link(i, (i + 1) % 4, 100.0, 1.0);
+  }
+  for (const std::size_t size : {std::size_t{1}, topo.link_count() - 1,
+                                 topo.link_count() + 1}) {
+    const std::vector<char> mask(size, 1);
+    EXPECT_THROW((void)shortest_path_tree(topo, 0, PathMetric::kHopCount,
+                                          mask),
+                 std::invalid_argument)
+        << size;
+    EXPECT_THROW((void)k_disjoint_paths(topo, 0, 2, 2,
+                                        PathMetric::kHopCount, mask),
+                 std::invalid_argument)
+        << size;
+  }
+  // Full-size and empty masks are accepted; the caller's mask is left
+  // as it was.
+  std::vector<char> mask(topo.link_count(), 0);
+  EXPECT_EQ(k_disjoint_paths(topo, 0, 2, 2, PathMetric::kHopCount, mask)
+                .size(),
+            2U);
+  EXPECT_EQ(mask, std::vector<char>(topo.link_count(), 0));
+  EXPECT_EQ(shortest_path_tree(topo, 0, PathMetric::kHopCount, {}).dist[2],
+            2.0);
+  mask.assign(topo.link_count(), 1);
+  EXPECT_EQ(shortest_path_tree(topo, 0, PathMetric::kHopCount, mask).via[2],
+            kInvalidIndex);
 }
 
 TEST(KShortest, ExhaustsFiniteGraphs) {

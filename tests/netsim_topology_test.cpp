@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace hp::netsim {
 namespace {
 
@@ -31,6 +33,24 @@ TEST(Topology, Validation) {
   EXPECT_THROW(topo.add_duplex_link(a, b, 0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(topo.add_duplex_link(a, b, 1.0, 1.0, 1.0),
                std::invalid_argument);
+}
+
+TEST(Topology, RejectsLinkWeightsPathSearchCannotUse) {
+  Topology topo;
+  const NodeIndex a = topo.add_node("A");
+  const NodeIndex b = topo.add_node("B");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(topo.add_duplex_link(a, b, nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(topo.add_duplex_link(a, b, inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(topo.add_duplex_link(a, b, 1.0, -1.0), std::invalid_argument);
+  EXPECT_THROW(topo.add_duplex_link(a, b, 1.0, nan), std::invalid_argument);
+  EXPECT_THROW(topo.add_duplex_link(a, b, 1.0, inf), std::invalid_argument);
+  EXPECT_THROW(topo.add_duplex_link(a, b, 1.0, 1.0, nan),
+               std::invalid_argument);
+  EXPECT_EQ(topo.link_count(), 0U);  // nothing half-added
+  // Zero delay is a valid weight (co-located nodes).
+  EXPECT_NO_THROW(topo.add_duplex_link(a, b, 1.0, 0.0));
 }
 
 TEST(Topology, LinkBetween) {
